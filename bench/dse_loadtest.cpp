@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
     sweep.configs = configs;
     Pipeline ref_pipeline(pipeline);
     DseEngine dse(ref_pipeline, "", sweep);
-    dse.recompute();
+    dse.sweep(/*force=*/true);
     for (const auto& r : dse.results()) {
       std::string joined;
       for (const auto& cell : DseEngine::to_row(r)) {

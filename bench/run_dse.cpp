@@ -3,11 +3,8 @@
 //
 // The sweep is crash-safe: every completed point is fsync'd to an
 // append-only journal next to the cache, so a killed run resumes exactly
-// where it stopped. It is also shardable across processes or machines:
-//
-//   run_dse --shard 0/2 &        # each shard owns every 2nd point
-//   run_dse --shard 1/2 &        # (run anywhere sharing the cache dir)
-//   wait; run_dse                # merges the journals into the cache
+// where it stopped. By default it runs in-process on MUSA_THREADS threads;
+// `--workers N` spreads it over N forked processes (see below).
 //
 // Failures are *contained* by default (DESIGN.md "Failure model"): a point
 // that throws is quarantined as a journaled FAIL row and the sweep keeps
@@ -18,29 +15,30 @@
 //
 // Tracing (DESIGN.md §7e): `--trace-out sweep.json` (or MUSA_TRACE=path)
 // arms the span tracer and exports a Chrome trace_event JSON loadable in
-// Perfetto / chrome://tracing. A shard that does not finalize the sweep
-// writes a `<trace>.shard-i-of-N.events.jsonl` sidecar instead; the run
-// that finalizes splices every sidecar plus its own events into the single
-// merged `<trace>` JSON and removes the sidecars. `--metrics-out path`
+// Perfetto / chrome://tracing. A run that does not finalize the sweep
+// (quarantined points hold the cache back) writes a
+// `<trace>.run.events.jsonl` sidecar instead, as elastic workers write
+// `<trace>.worker-N.events.jsonl`; the run that finalizes splices every
+// sidecar plus its own events into the single merged `<trace>` JSON and
+// removes the sidecars. `--metrics-out path`
 // (default `<cache>.metrics.json` when tracing) writes the flat metric
 // snapshot, and a one-screen summary table prints at exit.
 //
-// Elastic sweeps (DESIGN.md §7h): `--workers N` replaces the manual
-// shard-and-merge recipe with a controller that forks N worker processes,
-// leases them bounded point chunks, and revokes/re-leases on death, hang,
-// or straggle. Chunks commit only on durable journal coverage, so kill -9
-// of any worker at any time still converges to the byte-identical cache.
+// Elastic sweeps (DESIGN.md §7h): `--workers N` runs a controller that
+// forks N worker processes, leases them bounded point chunks, and
+// revokes/re-leases on death, hang, or straggle. Chunks commit only on
+// durable journal coverage, so kill -9 of any worker at any time still
+// converges to the byte-identical cache.
 //
-// Usage: run_dse [--force] [--shard i/N] [--workers N] [--lease-points K]
+// Usage: run_dse [--force] [--workers N] [--lease-points K]
 //                [--heartbeat-ms MS] [--straggler-factor F] [--no-verify]
 //                [--no-memo] [--bench] [--strict] [--retry-failed]
 //                [--timeout S] [--inject SPEC] [--trace-out PATH]
 //                [--metrics-out PATH] [--help]
 //   --force        discard the cache and all journals, then sweep fresh
-//   --shard i/N    compute only points with index % N == i (0 <= i < N)
 //   --workers N    elastic sweep with N forked worker processes; excludes
-//                  --shard and --strict, needs a cache path. N=1 runs the
-//                  plain in-process sweep
+//                  --strict, needs a cache path. Without it (or with N=1)
+//                  the sweep runs in-process
 //   --lease-points K  points per leased chunk (default 8)
 //   --heartbeat-ms MS worker heartbeat interval (default 250)
 //   --straggler-factor F  revoke leases older than F x the median
@@ -65,7 +63,7 @@
 //                  [,spec...] (see src/verify/faultpoint.hpp); overrides
 //                  the MUSA_FAULT environment variable
 //   --trace-out P  arm span tracing; write the Chrome trace (or, for a
-//                  non-finalizing shard, its JSONL sidecar) to P. The
+//                  run that does not finalize, its JSONL sidecar) to P. The
 //                  MUSA_TRACE environment variable supplies a default path
 //   --metrics-out P  write the flat metric snapshot JSON to P (defaults to
 //                  `<cache>.metrics.json` whenever tracing is armed)
@@ -94,18 +92,17 @@
 namespace {
 
 constexpr const char* kUsage =
-    "usage: run_dse [--force] [--shard i/N] [--workers N] [--lease-points K]\n"
+    "usage: run_dse [--force] [--workers N] [--lease-points K]\n"
     "               [--heartbeat-ms MS] [--straggler-factor F] [--no-verify]\n"
     "               [--no-memo] [--bench] [--strict] [--retry-failed]\n"
     "               [--timeout S] [--inject SPEC] [--trace-out PATH]\n"
     "               [--metrics-out PATH] [--help]\n"
     "  --force         discard the cache and all journals, sweep fresh\n"
-    "  --shard i/N     compute only points with index %% N == i\n"
     "  --workers N     elastic sweep: fork N worker processes, lease them\n"
     "                  bounded point chunks, revoke + re-lease on death,\n"
-    "                  hang, or straggle (DESIGN.md §7h). Excludes --shard\n"
-    "                  and --strict; needs a cache path. N=1 runs the plain\n"
-    "                  in-process sweep\n"
+    "                  hang, or straggle (DESIGN.md §7h). Excludes --strict;\n"
+    "                  needs a cache path. Without it (or with N=1) the\n"
+    "                  sweep runs in-process\n"
     "  --lease-points K   points per leased chunk (default 8)\n"
     "  --heartbeat-ms MS  worker heartbeat interval (default 250)\n"
     "  --straggler-factor F  revoke leases older than F x the median\n"
@@ -119,10 +116,10 @@ constexpr const char* kUsage =
     "  --inject SPEC   arm fault injection (site:kind:seed:prob[:param],...);\n"
     "                  overrides MUSA_FAULT\n"
     "  --trace-out P   arm span tracing; write the Chrome trace_event JSON\n"
-    "                  (Perfetto-loadable) to P. A shard that does not\n"
-    "                  finalize the sweep writes P.shard-i-of-N.events.jsonl\n"
-    "                  instead; the finalizing run merges every sidecar into\n"
-    "                  the single P. MUSA_TRACE=path supplies a default\n"
+    "                  (Perfetto-loadable) to P. A run that does not\n"
+    "                  finalize the sweep writes P.run.events.jsonl instead;\n"
+    "                  the finalizing run merges every sidecar into the\n"
+    "                  single P. MUSA_TRACE=path supplies a default\n"
     "  --metrics-out P write the flat metric snapshot JSON to P (defaults\n"
     "                  to <cache>.metrics.json whenever tracing is armed)\n"
     "  --help          print this text and exit 0\n"
@@ -130,9 +127,9 @@ constexpr const char* kUsage =
     "completed with quarantined points\n";
 
 /// Strict non-negative decimal parse: the whole string must be digits.
-/// sscanf-style parsing accepted "1/2x" and "0x1/2"; a sharded sweep run
-/// from a typo silently computes the wrong slice of the space, so flag
-/// values that are not pure numbers must die with exit 2 instead.
+/// sscanf-style parsing accepts "4x" and "0x4"; flag values that are not
+/// pure numbers must die with exit 2 instead of running a different sweep
+/// than the one asked for.
 bool parse_uint(const char* s, long* out) {
   if (s == nullptr || *s == '\0') return false;
   char* end = nullptr;
@@ -150,19 +147,6 @@ bool parse_positive(const char* s, double* out) {
   const double v = std::strtod(s, &end);
   if (errno != 0 || end == s || *end != '\0' || !(v > 0.0)) return false;
   *out = v;
-  return true;
-}
-
-bool parse_shard(const char* spec, musa::core::SweepOptions* opts) {
-  const char* slash = std::strchr(spec, '/');
-  if (slash == nullptr) return false;
-  const std::string index_part(spec, slash);
-  long i = 0, n = 0;
-  if (!parse_uint(index_part.c_str(), &i) || !parse_uint(slash + 1, &n))
-    return false;
-  if (n < 1 || i >= n) return false;
-  opts->shard_index = static_cast<int>(i);
-  opts->shard_count = static_cast<int>(n);
   return true;
 }
 
@@ -187,10 +171,8 @@ void print_elastic(const musa::sweep::ElasticReport& er) {
 }
 
 void print_report(const musa::core::SweepReport& rep) {
-  std::printf("sweep report: %llu total, %llu in shard, %llu resumed, "
-              "%llu computed%s\n",
+  std::printf("sweep report: %llu total, %llu resumed, %llu computed%s\n",
               static_cast<unsigned long long>(rep.total),
-              static_cast<unsigned long long>(rep.shard_points),
               static_cast<unsigned long long>(rep.resumed),
               static_cast<unsigned long long>(rep.computed),
               rep.finalized ? ", cache finalized" : "");
@@ -266,15 +248,15 @@ void print_quarantine(const musa::core::SweepReport& rep) {
 }
 
 /// Export pass run after every sweep, successful or quarantined. A run that
-/// did not finalize the sweep (an in-flight shard, or quarantines holding
-/// the cache back) parks its events in a JSONL sidecar; the finalizing run
-/// splices every sidecar plus its own events into the single merged Chrome
-/// trace and removes the sidecars. Export failures are reported, never
-/// fatal — observability must not turn a finished sweep into an error.
+/// did not finalize the sweep (quarantines holding the cache back) parks
+/// its events in a JSONL sidecar; the finalizing run splices every sidecar
+/// (elastic workers leave theirs too) plus its own events into the single
+/// merged Chrome trace and removes the sidecars. Export failures are
+/// reported, never fatal — observability must not turn a finished sweep
+/// into an error.
 void export_observability(const std::string& trace_out,
                           const std::string& metrics_path,
-                          const musa::core::SweepReport& rep,
-                          const musa::core::SweepOptions& opts) {
+                          const musa::core::SweepReport& rep) {
   using namespace musa;
   try {
     if (!trace_out.empty()) {
@@ -284,17 +266,11 @@ void export_observability(const std::string& trace_out,
                      "[obs] trace ring wrapped: %llu oldest event(s) lost\n",
                      static_cast<unsigned long long>(obs::Tracer::dropped()));
       obs::TraceMeta meta;
-      meta.pid = opts.shard_index;
-      meta.process_name =
-          opts.shard_count > 1
-              ? "run_dse shard " + std::to_string(opts.shard_index) + "/" +
-                    std::to_string(opts.shard_count)
-              : "run_dse";
+      meta.process_name = "run_dse";
       const std::vector<std::string> sidecars =
           obs::find_trace_sidecars(trace_out);
       if (!rep.finalized) {
-        const std::string sidecar = obs::trace_sidecar_path(
-            trace_out, opts.shard_index, opts.shard_count);
+        const std::string sidecar = obs::trace_sidecar_path(trace_out, "run");
         obs::write_trace_jsonl(sidecar, events, obs::Tracer::epoch_unix_us(),
                                meta);
         std::printf("trace sidecar written: %s (%zu event(s); merges into "
@@ -367,14 +343,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[a], "--inject") == 0 && a + 1 < argc) {
       inject_spec = argv[++a];
-    } else if (std::strcmp(argv[a], "--shard") == 0 && a + 1 < argc) {
-      if (!parse_shard(argv[++a], &opts)) {
-        std::fprintf(stderr,
-                     "bad --shard spec '%s' (want decimal i/N with "
-                     "0 <= i < N)\n%s",
-                     argv[a], kUsage);
-        return 2;
-      }
     } else if (std::strcmp(argv[a], "--workers") == 0 && a + 1 < argc) {
       long n = 0;
       if (!parse_uint(argv[++a], &n) || n < 1) {
@@ -419,17 +387,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Flag-combination validation, all exit 2: the elastic controller owns
-  // the whole plan (no --shard), and containment is load-bearing for its
-  // convergence argument (a --strict worker that aborted on the first
-  // fault-injected point could never drain a poisoned chunk).
-  const bool elastic_run = elastic.workers > 1;
-  if (workers_flag && opts.shard_count > 1) {
-    std::fprintf(stderr, "--workers and --shard are mutually exclusive: the "
-                         "elastic controller leases the whole plan\n%s",
-                 kUsage);
-    return 2;
-  }
+  // Flag-combination validation, all exit 2: containment is load-bearing
+  // for the elastic convergence argument (a --strict worker that aborted on
+  // the first fault-injected point could never drain a poisoned chunk).
+  // Only an explicit --workers N with N > 1 forks; ElasticOptions' default
+  // worker count must not turn a bare run into a multi-process one.
+  const bool elastic_run = workers_flag && elastic.workers > 1;
   if (workers_flag && opts.fail_fast) {
     std::fprintf(stderr, "--workers is incompatible with --strict: elastic "
                          "workers must contain failures as FAIL rows\n%s",
@@ -463,25 +426,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Without --bench the plan is the paper grid (SweepOptions::axes unset),
+  // built through the static space analyzer.
   if (bench_sweep) {
     opts.apps = {bench::bench_app()};
     opts.configs = bench::bench_space();
-  } else {
-    // Full sweep: describe the grid instead of enumerating it, so plan
-    // construction goes through the static space analyzer — feasibility is
-    // proved box-wise in O(boxes) and the per-point lint pass is skipped.
-    // The plan (and therefore the cache) is identical either way:
-    // SpaceAxes::paper() enumerates in ConfigSpace::full_space() order.
-    opts.axes = core::SpaceAxes::paper();
   }
 
   core::Pipeline pipeline;
-  if (opts.shard_count > 1 && bench::dse_cache_path().empty()) {
-    std::fprintf(stderr,
-                 "--shard needs a cache path to merge journals into; "
-                 "set MUSA_DSE_CACHE\n");
-    return 2;
-  }
   if (elastic_run && bench::dse_cache_path().empty()) {
     std::fprintf(stderr,
                  "--workers needs a cache path: worker results travel "
@@ -506,8 +458,6 @@ int main(int argc, char** argv) {
   else
     std::printf("MUSA-DSE full sweep (864 configs x 5 apps = 4320 points)\n");
   std::printf("cache file: %s\n", bench::dse_cache_path().c_str());
-  if (opts.shard_count > 1)
-    std::printf("shard %d of %d\n", opts.shard_index, opts.shard_count);
   if (elastic_run)
     std::printf("elastic controller: %d workers, %d-point leases, "
                 "heartbeat %.0fms, straggler factor %.1fx\n",
@@ -553,15 +503,10 @@ int main(int argc, char** argv) {
   }
   print_report(rep);
   print_quarantine(rep);
-  // Export before any early exit: quarantined and shard-partial runs are
-  // exactly the ones whose timelines are worth inspecting.
-  export_observability(trace_out, metrics_out, rep, opts);
+  // Export before any early exit: quarantined runs are exactly the ones
+  // whose timelines are worth inspecting.
+  export_observability(trace_out, metrics_out, rep);
   if (rep.quarantined > 0) return 3;
-  if (!rep.finalized) {
-    std::printf("shard journal written; rerun (any shard spec, or none) "
-                "once every shard has finished to merge the cache\n");
-    return 0;
-  }
 
   const auto& results = dse.results();
   std::printf("sweep complete: %zu simulation results available\n",

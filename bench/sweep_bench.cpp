@@ -74,7 +74,7 @@ Run run_sweep(bool memoize, bool trace = false, bool single_step = false) {
     // No cache path: pure compute, no journal fsyncs in the timing.
     DseEngine dse(pipeline, "", opts);
     const auto t0 = std::chrono::steady_clock::now();
-    dse.recompute();
+    dse.sweep(/*force=*/true);
     const auto t1 = std::chrono::steady_clock::now();
 
     const double wall_s = std::chrono::duration<double>(t1 - t0).count();

@@ -2,7 +2,7 @@
 //
 // A runaway simulation point (model bug, pathological configuration,
 // injected delay fault) must become a `timeout` quarantine, not a hung
-// shard. The sweep supervisor installs a wall-clock budget around each
+// sweep. The sweep supervisor installs a wall-clock budget around each
 // point (`deadline::Scope`), and the simulator hot loops poll it with
 // `deadline::poll()`: a thread-local tick counter that touches the clock
 // only once every 2^10 polls, so the fast path is one TLS load, an

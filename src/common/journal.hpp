@@ -210,7 +210,7 @@ class JournalTailer {
 
 /// Every journal that belongs to `artifact_path`, i.e. files named
 /// "<artifact>.journal" or "<artifact>.<anything>.journal" in the same
-/// directory (shard journals use "<artifact>.shard-i-of-N.journal").
+/// directory (elastic workers use "<artifact>.worker-N.journal").
 /// Sorted for deterministic merge order.
 std::vector<std::string> find_journals(const std::string& artifact_path);
 

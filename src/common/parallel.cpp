@@ -45,50 +45,11 @@ int default_thread_count() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
-void parallel_blocks(
-    std::uint64_t n, int threads,
-    const std::function<void(std::uint64_t, std::uint64_t)>& fn) {
-  MUSA_CHECK_MSG(threads >= 0, "negative thread count");
-  if (n == 0) return;
-  const auto workers =
-      static_cast<std::uint64_t>(std::clamp<std::uint64_t>(threads, 1, n));
-  if (workers == 1) {
-    fn(0, n);
-    return;
-  }
-
-  std::exception_ptr first_error;
-  std::atomic_flag error_latch;  // default-clear since C++20
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  const std::uint64_t block = (n + workers - 1) / workers;
-  for (std::uint64_t w = 0; w < workers; ++w) {
-    const std::uint64_t begin = w * block;
-    const std::uint64_t end = std::min(n, begin + block);
-    if (begin >= end) break;
-    pool.emplace_back([&, begin, end] {
-      try {
-        fn(begin, end);
-      } catch (...) {
-        if (!error_latch.test_and_set()) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-WorkQueue::WorkQueue(std::uint64_t n, std::uint64_t chunk)
-    : n_(n), chunk_(chunk) {
-  MUSA_CHECK_MSG(chunk >= 1, "work-queue chunk must be >= 1");
-}
-
-bool WorkQueue::next(std::uint64_t& begin, std::uint64_t& end) {
+bool WorkQueue::next(std::uint64_t& index) {
   if (cancelled_.load(std::memory_order_relaxed)) return false;
-  const std::uint64_t b = next_.fetch_add(chunk_, std::memory_order_relaxed);
-  if (b >= n_) return false;
-  begin = b;
-  end = std::min(n_, b + chunk_);
+  const std::uint64_t i = next_.fetch_add(1, std::memory_order_relaxed);
+  if (i >= n_) return false;
+  index = i;
   chunk_claims().add();
   return true;
 }
@@ -114,47 +75,6 @@ void parallel_workers(int threads, const std::function<void(int)>& fn) {
     });
   for (auto& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void parallel_dynamic(std::uint64_t n, int threads, std::uint64_t chunk,
-                      const std::function<void(std::uint64_t)>& fn) {
-  if (n == 0) return;
-  WorkQueue queue(n, chunk);
-  const int workers =
-      static_cast<int>(std::clamp<std::uint64_t>(std::max(1, threads), 1, n));
-  parallel_workers(workers, [&](int) {
-    std::uint64_t begin = 0, end = 0;
-    while (queue.next(begin, end)) {
-      for (std::uint64_t i = begin; i < end; ++i) {
-        try {
-          fn(i);
-        } catch (...) {
-          // First failure drains the queue: other workers finish their
-          // current item and stop, instead of chewing through thousands of
-          // doomed points while this exception waits to be rethrown.
-          queue.cancel();
-          throw;
-        }
-        if (queue.cancelled()) return;
-      }
-    }
-  });
-}
-
-void parallel_for(std::uint64_t n, int threads,
-                  const std::function<void(std::uint64_t)>& fn) {
-  std::atomic<bool> stop{false};
-  parallel_blocks(n, threads, [&](std::uint64_t begin, std::uint64_t end) {
-    for (std::uint64_t i = begin; i < end; ++i) {
-      if (stop.load(std::memory_order_relaxed)) return;
-      try {
-        fn(i);
-      } catch (...) {
-        stop.store(true, std::memory_order_relaxed);
-        throw;
-      }
-    }
-  });
 }
 
 }  // namespace musa

@@ -1,8 +1,7 @@
 // Work-sharing helpers for embarrassingly parallel sweeps (the DSE
-// engine's 4320 independent simulations): static block partitioning for
-// uniform work, and a dynamic chunk-stealing queue for skewed work, where
-// per-item cost varies >10x and static blocks leave threads idle at the
-// tail.
+// engine's 4320 independent simulations): a worker pool and a dynamic
+// index queue for skewed work, where per-item cost varies >10x and static
+// blocks would leave threads idle at the tail.
 #pragma once
 
 #include <atomic>
@@ -18,48 +17,25 @@ namespace musa {
 /// silently mis-parsed, and huge values clamp to a sane pool size.
 int default_thread_count();
 
-/// Runs fn(i) for i in [0, n) on up to `threads` workers. Indices are
-/// block-partitioned, so writes to disjoint slots of a pre-sized vector are
-/// race-free and the result layout is identical to a serial run. Exceptions
-/// thrown by fn are rethrown on the calling thread (first one wins); the
-/// first exception also cancels indices not yet started on every worker,
-/// so a failing sweep aborts promptly instead of simulating the remaining
-/// thousands of points first.
-void parallel_for(std::uint64_t n, int threads,
-                  const std::function<void(std::uint64_t)>& fn);
-
-/// Block-granular variant: fn(begin, end) once per contiguous block, one
-/// block per worker. Lets callers build per-worker state (a simulator
-/// instance, an accumulator) exactly once per thread.
-void parallel_blocks(std::uint64_t n, int threads,
-                     const std::function<void(std::uint64_t, std::uint64_t)>& fn);
-
-/// Thread-safe dispenser of index chunks for dynamic work sharing: each
-/// next() hands out the next `chunk`-sized range [begin, end) until the
-/// space [0, n) is exhausted. Fast workers simply come back for more, so a
-/// few expensive items cannot strand the rest of the pool behind one thread.
+/// Thread-safe dispenser of indices for dynamic work sharing: each next()
+/// hands out the next index of [0, n) until the space is exhausted. Fast
+/// workers simply come back for more, so a few expensive items cannot
+/// strand the rest of the pool behind one thread.
 class WorkQueue {
  public:
-  explicit WorkQueue(std::uint64_t n, std::uint64_t chunk = 1);
+  explicit WorkQueue(std::uint64_t n) : n_(n) {}
 
-  /// Claims the next chunk. Returns false when no work remains or the
+  /// Claims the next index. Returns false when no work remains or the
   /// queue has been cancelled.
-  bool next(std::uint64_t& begin, std::uint64_t& end);
+  bool next(std::uint64_t& index);
 
   /// Stops handing out work: every subsequent next() returns false.
-  /// Chunks already claimed keep running — cancellation is cooperative.
-  /// Called by parallel_dynamic when a worker throws, and by the DSE
-  /// engine's fail-fast path.
+  /// Indices already claimed keep running — cancellation is cooperative.
+  /// Called by the DSE engine's fail-fast path.
   void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t size() const { return n_; }
 
  private:
   std::uint64_t n_;
-  std::uint64_t chunk_;
   std::atomic<std::uint64_t> next_{0};
   std::atomic<bool> cancelled_{false};
 };
@@ -69,13 +45,5 @@ class WorkQueue {
 /// drain a shared WorkQueue. Exceptions thrown by fn are rethrown on the
 /// calling thread (first one wins).
 void parallel_workers(int threads, const std::function<void(int)>& fn);
-
-/// Dynamic counterpart of parallel_for: fn(i) for i in [0, n), scheduled in
-/// `chunk`-sized ranges stolen from a shared queue, so skewed per-item cost
-/// balances across workers automatically. The first exception cancels the
-/// queue (remaining chunks are never claimed) and is rethrown on the
-/// calling thread.
-void parallel_dynamic(std::uint64_t n, int threads, std::uint64_t chunk,
-                      const std::function<void(std::uint64_t)>& fn);
 
 }  // namespace musa

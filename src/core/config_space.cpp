@@ -146,25 +146,11 @@ const std::vector<int>& ConfigSpace::core_counts() {
 }
 
 std::vector<MachineConfig> ConfigSpace::full_space() {
+  const SpaceAxes axes = SpaceAxes::paper();
   std::vector<MachineConfig> space;
-  space.reserve(864);
-  for (const auto& core : cpusim::core_presets())
-    for (const auto& cache : cache_labels())
-      for (double freq : frequencies())
-        for (int vec : vector_widths())
-          for (int ch : channel_counts())
-            for (int cores : core_counts()) {
-              MachineConfig c;
-              c.core = core;
-              c.cache_label = cache;
-              c.freq_ghz = freq;
-              c.vector_bits = vec;
-              c.mem_channels = ch;
-              c.mem_tech = dramsim::MemTech::kDdr4_2333;
-              c.cores = cores;
-              c.ranks = 256;
-              space.push_back(c);
-            }
+  space.reserve(static_cast<std::size_t>(axes.points()));
+  for (std::uint64_t linear = 0; linear < axes.points(); ++linear)
+    space.push_back(axes.config_at(linear));
   MUSA_CHECK_MSG(space.size() == 864, "Table I grid must have 864 points");
   return space;
 }

@@ -52,9 +52,8 @@ struct MachineConfig {
 /// visiting individual points.
 ///
 /// Dimension order is fixed (core outermost .. ranks innermost) and the
-/// linear index is row-major over it, so enumerating a SpaceAxes whose axes
-/// equal the paper grid yields configs in exactly the
-/// ConfigSpace::full_space() order — cache and journal keys line up.
+/// linear index is row-major over it; ConfigSpace::full_space() is the
+/// row-major enumeration of paper(), so cache and journal keys line up.
 struct SpaceAxes {
   static constexpr int kDims = 8;
   enum : int {
@@ -100,9 +99,10 @@ struct SpaceAxes {
   std::uint64_t linear_of(const std::array<int, kDims>& idx) const;
 };
 
-/// Enumerates the paper's 864-point grid:
+/// The paper's 864-point grid (paper Table I):
 /// 4 OoO × 3 caches × 4 frequencies × 3 vector widths × 2 channel counts ×
-/// 3 core counts.
+/// 3 core counts. The per-dimension value lists are the single source
+/// SpaceAxes::paper() is built from.
 class ConfigSpace {
  public:
   static const std::vector<std::string>& cache_labels();
@@ -111,7 +111,8 @@ class ConfigSpace {
   static const std::vector<int>& channel_counts();
   static const std::vector<int>& core_counts();
 
-  /// All 864 configurations, 256 ranks each.
+  /// All 864 configurations, 256 ranks each: SpaceAxes::paper() in
+  /// row-major order.
   static std::vector<MachineConfig> full_space();
 
   /// The best-performing conventional point used as the Table II baseline.

@@ -42,14 +42,7 @@ DseEngine::DseEngine(Pipeline& pipeline, std::string cache_path,
                      SweepOptions options)
     : pipeline_(pipeline),
       cache_path_(std::move(cache_path)),
-      options_(std::move(options)) {
-  MUSA_CHECK_MSG(options_.shard_count >= 1 &&
-                     options_.shard_index >= 0 &&
-                     options_.shard_index < options_.shard_count,
-                 "shard index must satisfy 0 <= i < N");
-  MUSA_CHECK_MSG(options_.shard_count == 1 || !cache_path_.empty(),
-                 "sharded sweeps need a cache path to merge journals into");
-}
+      options_(std::move(options)) {}
 
 std::vector<std::string> DseEngine::csv_header() {
   return {"app",        "core",      "cache",     "freq_ghz", "vector_bits",
@@ -152,13 +145,14 @@ SweepPlan make_sweep_plan(const SweepOptions& options) {
     for (const auto& name : options.apps)
       plan.app_list.push_back(&apps::find_app(name));
   }
-  if (options.configs.empty() && options.axes.has_value()) {
-    const SpaceAxes& axes = *options.axes;
+  if (!options.configs.empty()) {
+    plan.configs = options.configs;
+  } else {
+    const SpaceAxes axes = options.axes ? *options.axes : SpaceAxes::paper();
     if (options.verify) {
       // Static space analysis instead of per-point lint: classify the grid
       // box-wise, drop infeasible boxes wholesale, and enumerate only the
-      // feasible points — in row-major grid order, so the paper axes
-      // reproduce the full_space() plan (and its cache keys) exactly.
+      // feasible points, in row-major grid order.
       const verify::AnalysisReport analysis = verify::analyze(axes);
       plan.configs.reserve(
           static_cast<std::size_t>(analysis.feasible_points));
@@ -184,9 +178,6 @@ SweepPlan make_sweep_plan(const SweepOptions& options) {
       for (std::uint64_t linear = 0; linear < axes.points(); ++linear)
         plan.configs.push_back(axes.config_at(linear));
     }
-  } else {
-    plan.configs =
-        options.configs.empty() ? ConfigSpace::full_space() : options.configs;
   }
   MUSA_CHECK_MSG(!plan.app_list.empty() && !plan.configs.empty(),
                  "empty sweep plan");
@@ -195,12 +186,6 @@ SweepPlan make_sweep_plan(const SweepOptions& options) {
     for (const auto& config : plan.configs)
       plan.keys.push_back(DseEngine::point_key(app->name, config));
   return plan;
-}
-
-std::string DseEngine::journal_path() const {
-  if (options_.shard_count == 1) return cache_path_ + ".journal";
-  return cache_path_ + ".shard-" + std::to_string(options_.shard_index) +
-         "-of-" + std::to_string(options_.shard_count) + ".journal";
 }
 
 bool DseEngine::load_cache(
@@ -298,13 +283,9 @@ SweepReport DseEngine::sweep(bool force) {
   rep.statically_skipped = plan.statically_skipped;
   rep.analysis_boxes = plan.analysis_boxes;
   rep.total = plan.size();
-  for (std::uint64_t i = 0; i < plan.size(); ++i)
-    if (i % options_.shard_count ==
-        static_cast<std::uint64_t>(options_.shard_index))
-      ++rep.shard_points;
 
   if (ready_) {
-    rep.resumed = rep.shard_points;
+    rep.resumed = rep.total;
     rep.finalized = true;
     report_ = rep;
     return rep;
@@ -339,21 +320,19 @@ SweepReport DseEngine::sweep(bool force) {
     const std::function<void()> cancel_queue = [&queue] { queue.cancel(); };
     parallel_workers(threads, [&](int) {
       Pipeline local(pipeline_.options(), memo);
-      // Busy time = wall spent holding a claimed chunk; the gap to
+      // Busy time = wall spent holding a claimed point; the gap to
       // workers × wall is queue/steal idle time (the occupancy breakdown
       // sweep_bench and trace_summary report).
       std::uint64_t busy_us = 0;
-      std::uint64_t begin = 0, end = 0;
-      while (queue.next(begin, end)) {
-        const auto chunk_t0 = std::chrono::steady_clock::now();
-        for (std::uint64_t t = begin; t < end; ++t) {
-          runner.run(local, todo[t], journal,
-                     journal ? nullptr : &results_[todo[t]], cancel_queue);
-          progress.tick();
-        }
+      std::uint64_t t = 0;
+      while (queue.next(t)) {
+        const auto point_t0 = std::chrono::steady_clock::now();
+        runner.run(local, todo[t], journal,
+                   journal ? nullptr : &results_[todo[t]], cancel_queue);
+        progress.tick();
         busy_us += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - chunk_t0)
+                std::chrono::steady_clock::now() - point_t0)
                 .count());
       }
       worker_busy_us().add(busy_us);
@@ -370,8 +349,7 @@ SweepReport DseEngine::sweep(bool force) {
   };
 
   if (cache_path_.empty()) {
-    // Caching disabled: plain in-memory sweep (always unsharded; checked in
-    // the constructor).
+    // Caching disabled: plain in-memory sweep.
     results_.assign(plan.size(), SimResult{});
     std::vector<std::uint64_t> all(plan.size());
     for (std::uint64_t i = 0; i < plan.size(); ++i) all[i] = i;
@@ -391,7 +369,7 @@ SweepReport DseEngine::sweep(bool force) {
     for (const auto& path : find_journals(cache_path_))
       std::remove(path.c_str());
     ready_ = true;
-    rep.resumed = rep.shard_points;
+    rep.resumed = rep.total;
     rep.finalized = true;
     report_ = rep;
     return rep;
@@ -399,9 +377,9 @@ SweepReport DseEngine::sweep(bool force) {
 
   rep.invalid += cache_invalid;
 
-  // Resume state: this shard's journal, seeded with whatever a partial
+  // Resume state: the engine's journal, seeded with whatever a partial
   // cache could contribute, plus read-only views of sibling journals.
-  ResultJournal journal(journal_path(), csv_header());
+  ResultJournal journal(cache_path_ + ".journal", csv_header());
   rep.dropped += journal.dropped_on_load();
   if (options_.verbose && journal.dropped_on_load() > 0)
     std::fprintf(stderr,
@@ -442,7 +420,7 @@ SweepReport DseEngine::sweep(bool force) {
       for (auto& [key, fail] : lr.fails)
         fails.emplace(key, std::move(fail));
     }
-    // Good beats FAIL across journals too: a point one shard quarantined
+    // Good beats FAIL across journals too: a point one journal quarantined
     // but a sibling later completed is not quarantined.
     for (auto it = fails.begin(); it != fails.end();)
       it = known.count(it->first) != 0 ? fails.erase(it) : ++it;
@@ -477,9 +455,6 @@ SweepReport DseEngine::sweep(bool force) {
   std::vector<std::uint64_t> missing;
   std::uint64_t skipped_quarantined = 0;
   for (std::uint64_t i = 0; i < plan.size(); ++i) {
-    if (i % options_.shard_count !=
-        static_cast<std::uint64_t>(options_.shard_index))
-      continue;
     if (known.find(plan.keys[i]) != known.end()) continue;
     // A quarantined point is "known to fail": skip it on resume so a
     // deterministic failure is not re-simulated run after run — unless the
@@ -490,7 +465,7 @@ SweepReport DseEngine::sweep(bool force) {
     }
     missing.push_back(i);
   }
-  rep.resumed = rep.shard_points - missing.size() - skipped_quarantined;
+  rep.resumed = rep.total - missing.size() - skipped_quarantined;
   if (options_.verbose && skipped_quarantined > 0)
     std::fprintf(stderr,
                  "[dse] skipping %llu quarantined point(s); rerun with "
@@ -498,17 +473,16 @@ SweepReport DseEngine::sweep(bool force) {
                  static_cast<unsigned long long>(skipped_quarantined));
   if (options_.verbose && rep.resumed > 0)
     std::fprintf(stderr,
-                 "[dse] resuming: %llu of this shard's %llu points already "
-                 "journaled\n",
+                 "[dse] resuming: %llu of %llu points already journaled\n",
                  static_cast<unsigned long long>(rep.resumed),
-                 static_cast<unsigned long long>(rep.shard_points));
+                 static_cast<unsigned long long>(rep.total));
 
   run_points(missing, &journal);
 
   // Finalize the moment cache-worthy coverage exists: cache rows are
   // emitted in plan order from the journalled strings, so an interrupted
-  // (or sharded) sweep produces a byte-identical cache to an uninterrupted
-  // one.
+  // (or multi-process) sweep produces a byte-identical cache to an
+  // uninterrupted one.
   known = journal.entries();
   fails = journal.fails();
   merge_siblings(known, fails);
@@ -550,20 +524,12 @@ SweepReport DseEngine::sweep(bool force) {
     ready_ = true;
     rep.finalized = true;
   } else if (options_.verbose) {
-    if (rep.quarantined > 0)
-      std::fprintf(stderr,
-                   "[dse] sweep incomplete: %llu point(s) quarantined "
-                   "(%llu known of %llu total); cache not finalized\n",
-                   static_cast<unsigned long long>(rep.quarantined),
-                   static_cast<unsigned long long>(known.size()),
-                   static_cast<unsigned long long>(plan.size()));
-    else
-      std::fprintf(stderr,
-                   "[dse] shard %d/%d complete (%llu known of %llu total); "
-                   "rerun after the sibling shards finish to merge\n",
-                   options_.shard_index, options_.shard_count,
-                   static_cast<unsigned long long>(known.size()),
-                   static_cast<unsigned long long>(plan.size()));
+    std::fprintf(stderr,
+                 "[dse] sweep incomplete: %llu point(s) quarantined "
+                 "(%llu known of %llu total); cache not finalized\n",
+                 static_cast<unsigned long long>(rep.quarantined),
+                 static_cast<unsigned long long>(known.size()),
+                 static_cast<unsigned long long>(plan.size()));
   }
   report_ = rep;
   return rep;
@@ -578,16 +544,13 @@ void DseEngine::clear_cache() {
 
 void DseEngine::ensure_results() {
   if (!ready_) sweep();
-  if (!ready_ && report_.quarantined > 0)
+  if (!ready_)
     throw SimError("sweep results unavailable: " +
                        std::to_string(report_.quarantined) +
                        " point(s) are quarantined; inspect the quarantine "
                        "report and rerun with --retry-failed once the cause "
                        "is fixed",
                    ErrorClass::kModel);
-  MUSA_CHECK_MSG(ready_,
-                 "sweep results unavailable: sibling shards have not "
-                 "finished; rerun once every shard's journal exists");
 }
 
 const std::vector<SimResult>& DseEngine::results() {

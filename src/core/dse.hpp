@@ -5,9 +5,9 @@
 // crash-safe journal (common/journal.hpp) keyed by (app, config-id), so a
 // killed sweep resumes exactly where it stopped instead of restarting all
 // 4320 points, and the final CSV cache is written atomically only once the
-// point set is complete. Sweeps can also be sharded across processes or
-// machines (`SweepOptions::shard_*`); shard journals merge into the same
-// cache the moment the union covers the plan.
+// point set is complete. Sibling journals next to the cache (the elastic
+// workers' `<cache>.worker-N.journal`, src/sweep) merge into the same cache
+// the moment the union covers the plan.
 //
 // Figures 5–10 all normalise over the same sweep, using the paper's
 // methodology: every simulation is divided by the simulation sharing *all
@@ -75,11 +75,9 @@ struct NormStat {
 };
 
 /// How a sweep is executed. Defaults reproduce the paper's full grid in one
-/// process; shards split the plan round-robin for multi-process /
-/// multi-machine runs whose journals merge into one cache.
+/// process; multi-process runs go through the elastic controller
+/// (src/sweep), whose worker journals merge into the same cache.
 struct SweepOptions {
-  int shard_index = 0;
-  int shard_count = 1;
   bool verbose = true;  // progress / repair warnings on stderr
 
   /// Cross-layer verification (src/verify): every config in the plan is
@@ -124,22 +122,20 @@ struct SweepOptions {
   double retry_backoff_s = 0.05;
 
   /// Test hooks: restrict the plan to these configs / app names
-  /// (empty → ConfigSpace::full_space() / every registry app).
+  /// (empty → the `axes` grid / every registry app).
   std::vector<MachineConfig> configs;
   std::vector<std::string> apps;
 
-  /// Grid description of the config plan. When set (and `configs` is
-  /// empty), plan construction runs the static space analyzer
-  /// (verify/space_analysis.hpp) instead of linting per point: the grid is
-  /// partitioned into feasible/infeasible boxes in O(boxes · rules),
+  /// Grid description of the config plan, used when `configs` is empty
+  /// (unset → SpaceAxes::paper()). Plan construction runs the static space
+  /// analyzer (verify/space_analysis.hpp) instead of linting per point: the
+  /// grid is partitioned into feasible/infeasible boxes in O(boxes · rules),
   /// statically-infeasible boxes are excluded from the plan wholesale
   /// (SweepReport::statically_skipped counts their points), and the
   /// surviving points skip the per-point lint entirely — their boxes are
-  /// *proved* feasible. Plan order is the grid's row-major enumeration, so
-  /// SpaceAxes::paper() reproduces the ConfigSpace::full_space() plan (and
-  /// cache) exactly. When `verify` is off the analyzer does not run (it
-  /// exists to enforce the rules): the described grid is swept in full,
-  /// every point unlinted.
+  /// *proved* feasible. Plan order is the grid's row-major enumeration.
+  /// When `verify` is off the analyzer does not run (it exists to enforce
+  /// the rules): the described grid is swept in full, every point unlinted.
   std::optional<SpaceAxes> axes;
 };
 
@@ -166,8 +162,8 @@ struct SweepPlan {
 };
 
 /// Builds the plan a sweep with `options` would run: explicit configs/apps
-/// when given, an analyzer-filtered grid when `options.axes` is set, the
-/// paper's full space otherwise. Deterministic — equal options produce an
+/// when given, otherwise the analyzer-filtered `options.axes` grid (the
+/// paper's grid when unset). Deterministic — equal options produce an
 /// identical plan, which is what makes independently-built controller and
 /// worker plans interchangeable.
 SweepPlan make_sweep_plan(const SweepOptions& options);
@@ -184,8 +180,7 @@ struct QuarantinePoint {
 /// What one sweep() call did — the engine's observability surface.
 struct SweepReport {
   std::uint64_t total = 0;         // points in the full plan
-  std::uint64_t shard_points = 0;  // points owned by this shard
-  std::uint64_t resumed = 0;       // shard points already in cache/journals
+  std::uint64_t resumed = 0;       // points already in cache/journals
   std::uint64_t computed = 0;      // points simulated successfully this call
   std::uint64_t dropped = 0;       // corrupt journal records discarded
   std::uint64_t invalid = 0;       // loaded rows failing invariant checks
@@ -205,25 +200,21 @@ struct SweepReport {
 class DseEngine {
  public:
   /// `cache_path`: CSV file for result caching ("" disables caching and
-  /// journaling; sharding then requires a cache to merge into).
+  /// journaling).
   DseEngine(Pipeline& pipeline, std::string cache_path,
             SweepOptions options = {});
 
   /// Sweep results, computed on first use (or loaded from the cache file).
-  /// Throws if this engine is a shard whose siblings have not finished —
-  /// results only exist once the plan is fully covered.
+  /// Throws if quarantined points keep the plan from being fully covered.
   const std::vector<SimResult>& results();
 
-  /// Ensures this shard's points exist, resuming from the journal and a
+  /// Ensures every plan point exists, resuming from the journals and a
   /// (possibly partial) cache: a truncated or under-sampled cache is
   /// detected, warned about, and repaired by recomputing exactly the
   /// missing points. With `force`, cache and journals are deleted first.
   /// Finalizes (atomically writes the cache, removes journals) as soon as
-  /// the union of cache + all shard journals covers the whole plan.
+  /// the union of cache + all sibling journals covers the whole plan.
   SweepReport sweep(bool force = false);
-
-  /// Forces a fresh sweep, replacing any cache.
-  void recompute() { sweep(/*force=*/true); }
 
   /// Deletes the cache file and every journal belonging to it.
   void clear_cache();
@@ -275,7 +266,6 @@ class DseEngine {
                          const std::string& baseline);
 
  private:
-  std::string journal_path() const;
   void ensure_results();
 
   /// Tries to load `cache_path_` as a complete, exactly-covering result

@@ -119,7 +119,7 @@ void write_chrome_trace(const std::string& path,
   // clock; splice them in verbatim.
   for (const std::string& sidecar : sidecar_paths) {
     std::ifstream in(sidecar);
-    if (!in) continue;  // a shard that never traced is not an error
+    if (!in) continue;  // a process that never traced is not an error
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty() || line.front() != '{') continue;
@@ -132,10 +132,9 @@ void write_chrome_trace(const std::string& path,
   write_file_or_throw(path, body);
 }
 
-std::string trace_sidecar_path(const std::string& trace_path, int shard_index,
-                               int shard_count) {
-  return trace_path + ".shard-" + std::to_string(shard_index) + "-of-" +
-         std::to_string(shard_count) + ".events.jsonl";
+std::string trace_sidecar_path(const std::string& trace_path,
+                               const std::string& tag) {
+  return trace_path + "." + tag + ".events.jsonl";
 }
 
 std::vector<std::string> find_trace_sidecars(const std::string& trace_path) {

@@ -1,16 +1,17 @@
 // Exporters for the observability subsystem (DESIGN.md §7e): Chrome
-// trace_event JSON (loadable in Perfetto / chrome://tracing), the per-shard
-// JSONL sidecar protocol that lets separate shard *processes* contribute to
-// one merged timeline, a flat metrics.json snapshot, and the one-screen
-// end-of-sweep summary table.
+// trace_event JSON (loadable in Perfetto / chrome://tracing), the
+// per-process JSONL sidecar protocol that lets separate *processes* (elastic
+// workers, a run that did not finalize) contribute to one merged timeline,
+// a flat metrics.json snapshot, and the one-screen end-of-sweep summary
+// table.
 //
-// Sidecar protocol: a sharded run cannot know when its siblings finish, so
-// each traced process writes `<trace>.{tag}.events.jsonl` — one complete
-// Chrome trace_event object per line, timestamps already anchored to wall
-// clock (Tracer::epoch_unix_us) so processes share a time base. The run
-// that finalizes the sweep merges every sidecar plus its own events into
-// the single `<trace>` JSON and deletes the sidecars — the same
-// merge-on-finalize discipline as the result journals.
+// Sidecar protocol: a process whose events cannot go into the final trace
+// yet writes `<trace>.<tag>.events.jsonl` (trace_sidecar_path) — one
+// complete Chrome trace_event object per line, timestamps already anchored
+// to wall clock (Tracer::epoch_unix_us) so processes share a time base.
+// The run that finalizes the sweep merges every sidecar plus its own
+// events into the single `<trace>` JSON and deletes the sidecars — the
+// same merge-on-finalize discipline as the result journals.
 //
 // Exports are best-effort observability artifacts, not crash-safe state:
 // they use plain buffered writes, never the fsync'd journal machinery.
@@ -25,7 +26,7 @@
 namespace musa::obs {
 
 /// Viewer identity of the emitting process: `pid` becomes the Chrome trace
-/// pid (one lane per shard), `process_name` its label.
+/// pid (one lane per process), `process_name` its label.
 struct TraceMeta {
   int pid = 0;
   std::string process_name = "musa";
@@ -51,9 +52,11 @@ void write_chrome_trace(const std::string& path,
                         std::uint64_t epoch_unix_us, const TraceMeta& meta,
                         const std::vector<std::string>& sidecar_paths = {});
 
-/// Sidecar path for one shard process: `<trace>.shard-i-of-N.events.jsonl`.
-std::string trace_sidecar_path(const std::string& trace_path, int shard_index,
-                               int shard_count);
+/// Sidecar path of one process, `<trace>.<tag>.events.jsonl` — e.g. tag
+/// "worker-3" for an elastic worker, "run" for a run_dse that did not
+/// finalize. find_trace_sidecars() matches every such path.
+std::string trace_sidecar_path(const std::string& trace_path,
+                               const std::string& tag);
 
 /// Every sidecar belonging to `trace_path`, sorted for deterministic merge
 /// order.

@@ -55,7 +55,7 @@ class Tracer {
  public:
   /// Arms tracing with a ring of `capacity` events (rounded up to a power
   /// of two). Records the epoch: a steady-clock zero for durations plus a
-  /// wall-clock anchor so traces from sibling shard *processes* land on one
+  /// wall-clock anchor so traces from sibling *processes* land on one
   /// timeline when merged. Idempotent; re-installing clears prior events.
   static void install(std::size_t capacity = 1u << 17);
 
@@ -71,7 +71,7 @@ class Tracer {
   static std::uint64_t now_us();
 
   /// Wall-clock µs (Unix time) of the steady epoch; exporters add this to
-  /// event timestamps so shard processes share a time base.
+  /// event timestamps so separate processes share a time base.
   static std::uint64_t epoch_unix_us();
 
   /// Pushes one event (no-op when disarmed). Lock-free, never blocks.

@@ -52,9 +52,6 @@ ElasticController::ElasticController(core::Pipeline& pipeline,
   MUSA_CHECK_MSG(!cache_path_.empty(),
                  "elastic sweeps need a cache path: worker results travel "
                  "through its journals");
-  MUSA_CHECK_MSG(sweep_.shard_count == 1,
-                 "elastic sweeps own the whole plan; --shard does not "
-                 "compose with --workers");
   MUSA_CHECK_MSG(elastic_.workers >= 1, "need at least one worker");
   MUSA_CHECK_MSG(elastic_.lease_points >= 1, "lease chunks need >= 1 point");
   MUSA_CHECK_MSG(elastic_.heartbeat_s > 0.0, "heartbeat interval must be > 0");
@@ -171,7 +168,7 @@ ElasticReport ElasticController::run() {
   rep.chunks = table.chunk_count();
 
   // Controller journal: in-process fallback rows and the live lease-event
-  // stream. Same path an unsharded engine uses, so the finalize pass loads
+  // stream. Same path the engine journals to, so the finalize pass loads
   // it as its own.
   ResultJournal journal(cache_path_ + ".journal", header);
   if (verify::FaultPlan::active())
@@ -563,8 +560,8 @@ ElasticReport ElasticController::run() {
 #else  // _WIN32
 
 ElasticReport ElasticController::run() {
-  throw SimError("elastic sweeps need fork/socketpair; use --shard on this "
-                 "platform",
+  throw SimError("elastic sweeps need fork/socketpair; run the in-process "
+                 "sweep on this platform",
                  ErrorClass::kConfig);
 }
 

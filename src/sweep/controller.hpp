@@ -56,9 +56,9 @@ bool elastic_supported();
 
 class ElasticController {
  public:
-  /// `pipeline` supplies the options workers replicate; `sweep` must not be
-  /// sharded (the controller owns the whole plan) and needs a cache path —
-  /// journals are the only channel worker results travel through.
+  /// `pipeline` supplies the options workers replicate; the controller owns
+  /// the whole plan of `sweep` and needs a cache path — journals are the
+  /// only channel worker results travel through.
   ElasticController(core::Pipeline& pipeline, std::string cache_path,
                     core::SweepOptions sweep, ElasticOptions elastic);
 

@@ -26,11 +26,6 @@ std::string worker_journal_path(const std::string& cache_path, int spawn_id) {
   return cache_path + ".worker-" + std::to_string(spawn_id) + ".journal";
 }
 
-std::string worker_trace_path(const std::string& trace_path, int spawn_id) {
-  return trace_path + ".worker-" + std::to_string(spawn_id) +
-         ".events.jsonl";
-}
-
 #ifndef _WIN32
 
 namespace {
@@ -197,11 +192,12 @@ int worker_main(int fd, const WorkerEnv& env) {
   if (!env.trace_path.empty()) {
     obs::TraceMeta meta;
     meta.pid = static_cast<int>(::getpid());
-    meta.process_name = "musa-worker-" + std::to_string(env.spawn_id);
+    const std::string tag = "worker-" + std::to_string(env.spawn_id);
+    meta.process_name = "musa-" + tag;
     try {
-      obs::write_trace_jsonl(worker_trace_path(env.trace_path, env.spawn_id),
-                             obs::Tracer::drain(),
-                             obs::Tracer::epoch_unix_us(), meta);
+      obs::write_trace_jsonl(obs::trace_sidecar_path(env.trace_path, tag),
+                             obs::Tracer::drain(), obs::Tracer::epoch_unix_us(),
+                             meta);
     } catch (...) {
       // Trace sidecars are best-effort observability, never worth an exit
       // code that would look like a compute failure to the controller.

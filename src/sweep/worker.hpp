@@ -9,9 +9,12 @@
 //
 // Every worker owns a private journal (`<cache>.worker-<spawn>.journal`)
 // that the controller tails incrementally and the finalize pass merges
-// like any shard journal. Workers never write the cache and never talk to
-// each other; the fsync'd journal rows are their only durable output,
-// which is what makes killing a worker at any instant recoverable.
+// like any sibling journal. A traced worker leaves its events in the trace
+// sidecar `<trace>.worker-<spawn>.events.jsonl` (obs::trace_sidecar_path)
+// on clean shutdown, for the finalize export to merge. Workers never write
+// the cache and never talk to each other; the fsync'd journal rows are
+// their only durable output, which is what makes killing a worker at any
+// instant recoverable.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +43,6 @@ struct WorkerEnv {
 /// Journal a worker writes: `<cache>.worker-<spawn>.journal` — matched by
 /// find_journals(), so the finalize pass merges it automatically.
 std::string worker_journal_path(const std::string& cache_path, int spawn_id);
-
-/// Trace sidecar a worker writes on clean shutdown:
-/// `<trace>.worker-<spawn>.events.jsonl` — matched by
-/// find_trace_sidecars(), merged into the final Chrome trace.
-std::string worker_trace_path(const std::string& trace_path, int spawn_id);
 
 /// Body of the worker process: runs the protocol loop on `fd` until `quit`
 /// or controller death. Returns the process exit code. The caller (the

@@ -148,7 +148,7 @@ bool fault_decision(const FaultSpec& spec, const char* site,
   if (spec.prob <= 0.0) return false;
   if (spec.prob >= 1.0) return true;
   // Decision = hash(site | key) mixed with the seed, mapped to [0, 1).
-  // Pure in its inputs: independent of threads, shards, and retries.
+  // Pure in its inputs: independent of threads, processes, and retries.
   std::uint64_t h = fnv1a64(std::string(site) + "|" + key);
   h ^= (spec.seed + 1) * 0x9E3779B97F4A7C15ull;
   h *= 0xFF51AFD7ED558CCDull;

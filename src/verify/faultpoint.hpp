@@ -39,7 +39,7 @@
 //
 // Whether a spec fires for a given (site, key) is a pure function of
 // (site, key, seed, prob) — independent of thread schedule, worker count,
-// and sharding — so a chaos run is reproducible bit-for-bit and a given
+// and process layout — so a chaos run is reproducible bit-for-bit and a given
 // sweep point faults identically on every retry until its max-fires budget
 // clears. Keys are sweep-point keys ("app|config-id") or file paths.
 #pragma once

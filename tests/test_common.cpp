@@ -2,13 +2,10 @@
 // statistics, table/CSV round-trips, and invariant checks.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <cstdint>
@@ -268,33 +265,21 @@ TEST(Csv, SaveIsAtomicReplaceLeavingNoTempFile) {
   std::remove(path.c_str());
 }
 
-TEST(Parallel, WorkQueueDispensesDisjointCoveringChunks) {
-  WorkQueue q(10, 4);
-  std::uint64_t b = 0, e = 0;
-  ASSERT_TRUE(q.next(b, e));
-  EXPECT_EQ(b, 0u);
-  EXPECT_EQ(e, 4u);
-  ASSERT_TRUE(q.next(b, e));
-  EXPECT_EQ(b, 4u);
-  EXPECT_EQ(e, 8u);
-  ASSERT_TRUE(q.next(b, e));
-  EXPECT_EQ(b, 8u);
-  EXPECT_EQ(e, 10u);  // final partial chunk clamped to n
-  EXPECT_FALSE(q.next(b, e));
-  EXPECT_THROW(WorkQueue(5, 0), SimError);
-}
+TEST(Parallel, WorkQueueHandsOutEachIndexOnceUntilCancelled) {
+  WorkQueue q(3);
+  std::uint64_t i = 99;
+  ASSERT_TRUE(q.next(i));
+  EXPECT_EQ(i, 0u);
+  ASSERT_TRUE(q.next(i));
+  EXPECT_EQ(i, 1u);
+  q.cancel();
+  EXPECT_FALSE(q.next(i));  // index 2 is never handed out once cancelled
 
-TEST(Parallel, DynamicSchedulingRunsEveryItemOnceUnderSkew) {
-  // Per-item cost skewed >10x (sweep points vary this much across apps):
-  // dynamic chunk stealing must still run each index exactly once.
-  const std::uint64_t n = 300;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_dynamic(n, 8, 1, [&](std::uint64_t i) {
-    if (i % 37 == 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    hits[i].fetch_add(1);
-  });
-  for (std::uint64_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+  WorkQueue drained(1);
+  ASSERT_TRUE(drained.next(i));
+  EXPECT_EQ(i, 0u);
+  EXPECT_FALSE(drained.next(i));
+  EXPECT_FALSE(drained.next(i));
 }
 
 TEST(Parallel, ParallelWorkersRethrowsWorkerException) {

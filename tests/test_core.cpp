@@ -366,11 +366,9 @@ TEST(DseEngine, RowRoundTripForEveryPresetAndTech) {
 }
 
 // A 2-app x 2-config plan small enough to sweep for real in tests.
-SweepOptions tiny_sweep(int shard_index = 0, int shard_count = 1) {
+SweepOptions tiny_sweep() {
   SweepOptions o;
   o.verbose = false;
-  o.shard_index = shard_index;
-  o.shard_count = shard_count;
   o.apps = {"hydro", "btmz"};
   MachineConfig narrow;
   narrow.cores = 4;
@@ -478,6 +476,9 @@ TEST(DseEngine, TruncatedCacheIsDetectedAndRepaired) {
   }
 }
 
+// Sibling journals (an elastic worker's `<cache>.worker-N.journal`) merge
+// into the engine's result exactly like its own journal: the engine
+// computes only what no journal holds, and finalizes byte-identically.
 TEST(DseEngine, ShardedJournalsMergeIntoSingleProcessResult) {
   const std::string cache =
       std::string(::testing::TempDir()) + "musa_dse_shard.csv";
@@ -488,24 +489,26 @@ TEST(DseEngine, ShardedJournalsMergeIntoSingleProcessResult) {
     fresh.sweep();
   }
   const std::string reference = read_file(cache);
+  const CsvDoc doc = CsvDoc::load(cache);
   std::remove(cache.c_str());
+  {
+    ResultJournal worker(cache + ".worker-0.journal", DseEngine::csv_header());
+    for (std::size_t i : {1u, 2u}) {
+      const SimResult r = DseEngine::from_row(doc.rows()[i]);
+      worker.append(DseEngine::point_key(r.app, r.config), doc.rows()[i]);
+    }
+  }
+  ASSERT_EQ(find_journals(cache).size(), 1u);
 
-  DseEngine s0(p, cache, tiny_sweep(0, 2));
-  const SweepReport r0 = s0.sweep();
-  EXPECT_FALSE(r0.finalized);
-  EXPECT_EQ(r0.shard_points, 2u);
-  EXPECT_EQ(r0.computed, 2u);
-  EXPECT_THROW(s0.results(), SimError);  // siblings still missing
-  EXPECT_EQ(find_journals(cache).size(), 1u);
-
-  DseEngine s1(p, cache, tiny_sweep(1, 2));
-  const SweepReport r1 = s1.sweep();
-  EXPECT_TRUE(r1.finalized);  // last shard merges everything
-  EXPECT_EQ(r1.computed, 2u);
-  EXPECT_EQ(s1.results().size(), 4u);
+  DseEngine merged(p, cache, tiny_sweep());
+  const SweepReport rep = merged.sweep();
+  EXPECT_TRUE(rep.finalized);
+  EXPECT_EQ(rep.resumed, 2u);
+  EXPECT_EQ(rep.computed, 2u);  // only what the worker journal lacked
+  EXPECT_EQ(merged.results().size(), 4u);
   EXPECT_EQ(read_file(cache), reference);
   EXPECT_TRUE(find_journals(cache).empty());
-  s1.clear_cache();
+  merged.clear_cache();
 }
 
 TEST(DseEngine, PowerMetricsSkipUnknownDramPower) {
@@ -588,16 +591,6 @@ TEST(Pipeline, StageTimesAccumulatePerRun) {
   EXPECT_DOUBLE_EQ(other.kernel_s, 2 * st.kernel_s);
   p.reset_stage_times();
   EXPECT_EQ(p.stage_times().points, 0u);
-}
-
-TEST(DseEngine, RejectsInvalidShardSpec) {
-  Pipeline p(fast_options());
-  SweepOptions bad;
-  bad.shard_index = 2;
-  bad.shard_count = 2;
-  EXPECT_THROW(DseEngine(p, "x.csv", bad), SimError);
-  SweepOptions no_cache = tiny_sweep(0, 2);
-  EXPECT_THROW(DseEngine(p, "", no_cache), SimError);
 }
 
 TEST(DseEngine, RejectsStaleCacheSchema) {

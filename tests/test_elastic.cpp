@@ -483,13 +483,8 @@ TEST(ElasticController, WritesAuditableLeaseLog) {
   EXPECT_GE(grants, 4);
 }
 
-TEST(ElasticController, RejectsShardedPlansAndEmptyCache) {
+TEST(ElasticController, RejectsEmptyCachePath) {
   core::Pipeline pipeline(fast_options());
-  core::SweepOptions sharded = tiny_sweep();
-  sharded.shard_count = 2;
-  EXPECT_THROW(sweep::ElasticController(pipeline, tmp_path("x.csv"), sharded,
-                                        fast_elastic(2)),
-               SimError);
   EXPECT_THROW(
       sweep::ElasticController(pipeline, "", tiny_sweep(), fast_elastic(2)),
       SimError);

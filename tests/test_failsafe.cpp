@@ -381,7 +381,7 @@ TEST(FailsafeSweep, InMemorySweepIsAlwaysFailFast) {
   // No cache path -> no journal -> nowhere to quarantine: must throw even
   // though fail_fast is off.
   core::DseEngine dse(p, "", tiny_sweep());
-  EXPECT_THROW(dse.recompute(), SimError);
+  EXPECT_THROW(dse.sweep(/*force=*/true), SimError);
 }
 
 TEST(FailsafeSweep, DelayedPointQuarantinesAsTimeout) {

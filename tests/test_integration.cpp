@@ -196,8 +196,11 @@ TEST_F(PipelineFixture, Spec3dMostOooSensitiveAmongMedium) {
   EXPECT_GT(spec_ratio, hydro_ratio * 0.99);
 }
 
+// The app name is a std::string, not a const char*: gtest prints a char
+// pointer with its address, which would put a per-run value into the test
+// names that ctest discovers.
 class EveryAppEveryCoreCount
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(EveryAppEveryCoreCount, PipelineIsDeterministic) {
   const auto [app_name, cores] = GetParam();
@@ -217,8 +220,11 @@ TEST_P(EveryAppEveryCoreCount, PipelineIsDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, EveryAppEveryCoreCount,
-    ::testing::Combine(::testing::Values("hydro", "spmz", "btmz", "spec3d",
-                                         "lulesh"),
+    ::testing::Combine(::testing::Values(std::string("hydro"),
+                                         std::string("spmz"),
+                                         std::string("btmz"),
+                                         std::string("spec3d"),
+                                         std::string("lulesh")),
                        ::testing::Values(1, 32, 64)));
 
 }  // namespace

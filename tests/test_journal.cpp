@@ -187,8 +187,8 @@ TEST(Journal, FindJournalsMatchesCacheAndShardNames) {
   const std::string base = tmp_path("musa_find_me.csv");
   const std::vector<std::string> mine = {
       base + ".journal",
-      base + ".shard-0-of-2.journal",
-      base + ".shard-1-of-2.journal",
+      base + ".worker-0.journal",
+      base + ".worker-1.journal",
   };
   for (const auto& p : mine) write_file(p, "x");
   write_file(base, "the artifact itself");

@@ -383,38 +383,49 @@ TEST(ObsExport, ChromeTraceRoundTripIsValidAndOrdered) {
 TEST(ObsExport, SidecarMergeSplicesAllShardsIntoOneTimeline) {
   const std::string trace = tmp_path("obs_merge.trace.json");
 
-  // Shard 0 serialises its events to a sidecar (what a non-finalizing
-  // run_dse shard does)...
-  TraceEvent ev0;
-  ev0.name = "point";
-  ev0.ts_us = 10;
-  ev0.dur_us = 5;
-  set_event_key(ev0, "shard0-point");
-  const std::string sidecar = trace_sidecar_path(trace, 0, 2);
-  EXPECT_NE(sidecar.find("shard-0-of-2.events.jsonl"), std::string::npos);
-  write_trace_jsonl(sidecar, {ev0}, /*epoch_unix_us=*/1000,
-                    TraceMeta{0, "shard 0"});
-  const auto found = find_trace_sidecars(trace);
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0], sidecar);
+  // An elastic worker and a run that did not finalize each serialise their
+  // events to a sidecar named by trace_sidecar_path(trace, tag)...
+  TraceEvent worker_ev;
+  worker_ev.name = "point";
+  worker_ev.ts_us = 10;
+  worker_ev.dur_us = 5;
+  set_event_key(worker_ev, "worker-point");
+  const std::string worker_sidecar = trace_sidecar_path(trace, "worker-0");
+  EXPECT_EQ(worker_sidecar, trace + ".worker-0.events.jsonl");
+  write_trace_jsonl(worker_sidecar, {worker_ev}, /*epoch_unix_us=*/1000,
+                    TraceMeta{7, "musa-worker-0"});
 
-  // ...and the finalizing shard merges it with its own events.
-  TraceEvent ev1;
-  ev1.name = "point";
-  ev1.ts_us = 20;
-  ev1.dur_us = 5;
-  set_event_key(ev1, "shard1-point");
-  write_chrome_trace(trace, {ev1}, /*epoch_unix_us=*/1000,
-                     TraceMeta{1, "shard 1"}, found);
+  TraceEvent run_ev = worker_ev;
+  run_ev.ts_us = 15;
+  set_event_key(run_ev, "run-point");
+  const std::string run_sidecar = trace_sidecar_path(trace, "run");
+  EXPECT_EQ(run_sidecar, trace + ".run.events.jsonl");
+  write_trace_jsonl(run_sidecar, {run_ev}, /*epoch_unix_us=*/1000,
+                    TraceMeta{0, "run_dse"});
+
+  const auto found = find_trace_sidecars(trace);
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_EQ(found[0], run_sidecar);  // sorted: deterministic merge order
+  EXPECT_EQ(found[1], worker_sidecar);
+
+  // ...and the finalizing run merges both with its own events.
+  TraceEvent final_ev = worker_ev;
+  final_ev.ts_us = 20;
+  set_event_key(final_ev, "final-point");
+  write_chrome_trace(trace, {final_ev}, /*epoch_unix_us=*/1000,
+                     TraceMeta{1, "run_dse"}, found);
 
   const std::string body = slurp(trace);
   EXPECT_TRUE(json_valid(body)) << body;
-  EXPECT_NE(body.find("shard0-point"), std::string::npos);
-  EXPECT_NE(body.find("shard1-point"), std::string::npos);
-  // Each shard keeps its own pid lane in the merged view.
+  EXPECT_NE(body.find("worker-point"), std::string::npos);
+  EXPECT_NE(body.find("run-point"), std::string::npos);
+  EXPECT_NE(body.find("final-point"), std::string::npos);
+  // Each process keeps its own pid lane in the merged view.
+  EXPECT_NE(body.find("\"pid\":7"), std::string::npos);
   EXPECT_NE(body.find("\"pid\":0"), std::string::npos);
   EXPECT_NE(body.find("\"pid\":1"), std::string::npos);
-  std::remove(sidecar.c_str());
+  std::remove(worker_sidecar.c_str());
+  std::remove(run_sidecar.c_str());
   std::remove(trace.c_str());
 }
 

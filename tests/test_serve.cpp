@@ -106,7 +106,7 @@ std::string batch_row(const core::MachineConfig& cfg) {
   sw.configs = {cfg};
   core::Pipeline pipeline(fast_options());
   core::DseEngine dse(pipeline, "", sw);
-  dse.recompute();
+  dse.sweep(/*force=*/true);
   std::string joined;
   for (const auto& cell : core::DseEngine::to_row(dse.results().at(0))) {
     if (!joined.empty()) joined += ',';

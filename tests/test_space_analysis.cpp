@@ -80,18 +80,6 @@ TEST(SpaceAnalysis, PaperGridAgreesExactlyWithPointwiseLint) {
       << (agree.examples.empty() ? "" : agree.examples[0]);
 }
 
-TEST(SpaceAnalysis, PaperPlanReproducesFullSpaceOrder) {
-  const SpaceAxes axes = SpaceAxes::paper();
-  const AnalysisReport report = musa::verify::analyze(axes);
-  const std::vector<std::uint64_t> linear =
-      musa::verify::feasible_indices(axes, report);
-  const std::vector<MachineConfig> reference = ConfigSpace::full_space();
-  ASSERT_EQ(linear.size(), reference.size());
-  for (std::size_t i = 0; i < linear.size(); ++i)
-    EXPECT_EQ(axes.config_at(linear[i]).id(), reference[i].id())
-        << "plan order diverged at index " << i;
-}
-
 TEST(SpaceAnalysis, ExtendedGridAnalyzedWithoutEnumeratingPoints) {
   const SpaceAxes axes = SpaceAxes::extended();
   ASSERT_GE(axes.points(), 1000000u) << "extended grid shrank below 10^6";
@@ -240,6 +228,30 @@ std::string find_cache() {
                         "../../dse_cache.csv", "../../../dse_cache.csv"})
     if (musa::CsvDoc::file_exists(p)) return p;
   return {};
+}
+
+// The default plan (no configs, no axes: the paper grid through the
+// analyzer) must enumerate its 864 configs in exactly the row order of the
+// committed cache, app block by app block — otherwise a fresh sweep could
+// not reproduce the committed bytes.
+TEST(SpaceAnalysis, DefaultPlanMatchesCommittedCacheOrder) {
+  const std::string path = find_cache();
+  if (path.empty()) GTEST_SKIP() << "committed dse_cache.csv not found";
+  const musa::CsvDoc doc = musa::CsvDoc::load(path);
+  ASSERT_EQ(doc.header(), musa::core::DseEngine::csv_header());
+
+  musa::core::SweepOptions options;
+  options.verbose = false;
+  const musa::core::SweepPlan plan = musa::core::make_sweep_plan(options);
+  ASSERT_EQ(plan.configs.size(), 864u);
+  ASSERT_EQ(doc.rows().size(), plan.size());
+  for (std::size_t i = 0; i < doc.rows().size(); ++i) {
+    const musa::core::SimResult r =
+        musa::core::DseEngine::from_row(doc.rows()[i]);
+    ASSERT_EQ(r.app, plan.app_of(i).name) << "app order diverged at row " << i;
+    ASSERT_EQ(r.config.id(), plan.config_of(i).id())
+        << "config order diverged at row " << i;
+  }
 }
 
 // Monotone-bound property against real computed rows: every row of the

@@ -1,10 +1,6 @@
 // Unit tests for network topologies and their effect on the replay engine,
-// plus the common parallel_for utility.
+// plus the common thread-count default.
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <numeric>
-#include <vector>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -119,50 +115,6 @@ TEST(TopologyReplay, CollectivesScaleWithDiameter) {
 
 namespace musa {
 namespace {
-
-TEST(ParallelFor, CoversAllIndicesOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(1000, 4, [&](std::uint64_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, SerialFallback) {
-  std::vector<int> order;
-  parallel_for(10, 1, [&](std::uint64_t i) {
-    order.push_back(static_cast<int>(i));
-  });
-  std::vector<int> expect(10);
-  std::iota(expect.begin(), expect.end(), 0);
-  EXPECT_EQ(order, expect);
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(parallel_for(100, 4,
-                            [](std::uint64_t i) {
-                              if (i == 57) throw SimError("boom");
-                            }),
-               SimError);
-}
-
-TEST(ParallelFor, HandlesEmptyAndTinyRanges) {
-  int calls = 0;
-  parallel_for(0, 8, [&](std::uint64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::atomic<int> atomic_calls{0};
-  parallel_for(3, 16, [&](std::uint64_t) { ++atomic_calls; });
-  EXPECT_EQ(atomic_calls.load(), 3);
-}
-
-TEST(ParallelBlocks, OneBlockPerWorkerCoversRange) {
-  std::vector<std::atomic<int>> hits(100);
-  std::atomic<int> blocks{0};
-  parallel_blocks(100, 3, [&](std::uint64_t b, std::uint64_t e) {
-    ++blocks;
-    for (std::uint64_t i = b; i < e; ++i) ++hits[i];
-  });
-  EXPECT_LE(blocks.load(), 3);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
 
 TEST(DefaultThreadCount, AtLeastOne) {
   EXPECT_GE(default_thread_count(), 1);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Inspect the DSE sweep cache and its write-ahead journals.
 
-Shows, for an in-flight (possibly sharded) sweep, how many points each
+Shows, for an in-flight (possibly elastic) sweep, how many points each
 journal holds, how many records are corrupt or truncated, per-app
 coverage, and whether the union of all journals covers the full
 864 x 5 plan.
@@ -131,7 +131,7 @@ def main():
         fail_union.update(fails)
         lease_events.extend(leases)
 
-    # Good beats FAIL across journals too: a point one shard quarantined
+    # Good beats FAIL across journals too: a point one journal quarantined
     # but a sibling completed is not quarantined.
     for key in union:
         fail_union.pop(key, None)

@@ -2,7 +2,7 @@
 """Summarise (and validate) a MUSA Chrome trace produced by run_dse.
 
 Loads a merged Chrome trace_event JSON (`run_dse --trace-out sweep.json`)
-or one or more raw `*.events.jsonl` shard sidecars, validates the event
+or one or more raw `*.events.jsonl` process sidecars, validates the event
 stream (well-formed JSON, required fields, non-negative durations,
 per-(pid, tid) monotone start timestamps), and prints:
 
@@ -18,7 +18,7 @@ carries exactly one quarantine marker per injected fault: any mismatch
 Usage:
   tools/trace_summary.py sweep.trace.json
   tools/trace_summary.py sweep.trace.json --expect-quarantines 3
-  tools/trace_summary.py shard-*.events.jsonl
+  tools/trace_summary.py sweep.trace.json.worker-*.events.jsonl
 """
 import argparse
 import json
