@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <functional>
-#include <mutex>
 #include <unordered_map>
 
 #include "common/check.hpp"
@@ -15,7 +13,7 @@
 #include "common/progress.hpp"
 #include "common/stats.hpp"
 #include "core/point_runner.hpp"
-#include "obs/metrics.hpp"
+#include "core/scheduler.hpp"
 #include "verify/config_rules.hpp"
 #include "verify/faultpoint.hpp"
 #include "verify/invariants.hpp"
@@ -30,12 +28,6 @@ std::string fmt(double v) {
   return buf;
 }
 double num(const std::string& s) { return std::strtod(s.c_str(), nullptr); }
-
-obs::Counter& worker_busy_us() {
-  static obs::Counter& c =
-      obs::MetricRegistry::global().counter("sweep.worker.busy_us");
-  return c;
-}
 }  // namespace
 
 DseEngine::DseEngine(Pipeline& pipeline, std::string cache_path,
@@ -147,6 +139,10 @@ SweepPlan make_sweep_plan(const SweepOptions& options) {
   }
   if (!options.configs.empty()) {
     plan.configs = options.configs;
+    // Lint before anything simulates or queues; analyzer-built plans below
+    // need no lint: their boxes are *proved* feasible.
+    if (options.verify)
+      for (const auto& config : plan.configs) verify::validate_machine(config);
   } else {
     const SpaceAxes axes = options.axes ? *options.axes : SpaceAxes::paper();
     if (options.verify) {
@@ -273,12 +269,6 @@ SweepReport DseEngine::sweep(bool force) {
     results_.clear();
   }
   const SweepPlan plan = make_sweep_plan(options_);
-  // Static config lint before any point simulates: a physically impossible
-  // sweep point must fail here, in milliseconds, not hours into the sweep.
-  // An analyzer-built plan skips the loop: its boxes are *proved* feasible,
-  // so the per-point pass would re-derive what is already established.
-  if (options_.verify && !plan.statically_verified)
-    for (const auto& config : plan.configs) verify::validate_machine(config);
   SweepReport rep;
   rep.statically_skipped = plan.statically_skipped;
   rep.analysis_boxes = plan.analysis_boxes;
@@ -291,11 +281,10 @@ SweepReport DseEngine::sweep(bool force) {
     return rep;
   }
 
-  // Every simulation point is independent. Workers own a private Pipeline
-  // and steal points one at a time from a shared queue — points vary >10x
-  // in cost across apps, so static blocks would idle threads at the tail.
-  // The pipelines share one thread-safe StageMemo (unless --no-memo), so
-  // cross-point-redundant stages are computed once per distinct input.
+  // Every simulation point is independent: the missing points run as one
+  // job on the point scheduler, whose threads share one thread-safe
+  // StageMemo (unless --no-memo), so cross-point-redundant stages are
+  // computed once per distinct input.
   std::shared_ptr<StageMemo> memo;
   if (options_.memoize)
     memo = pipeline_.memo() ? pipeline_.memo()
@@ -310,35 +299,21 @@ SweepReport DseEngine::sweep(bool force) {
   const auto run_points = [&](const std::vector<std::uint64_t>& todo,
                               ResultJournal* journal) {
     if (todo.empty()) return;
-    WorkQueue queue(todo.size());
     ProgressReporter progress("dse sweep", todo.size(), 2.0,
                               options_.verbose);
     const int threads = static_cast<int>(std::min<std::uint64_t>(
         std::max(1, default_thread_count()), todo.size()));
-    std::mutex merge_mu;
     const auto wall_t0 = std::chrono::steady_clock::now();
-    const std::function<void()> cancel_queue = [&queue] { queue.cancel(); };
-    parallel_workers(threads, [&](int) {
-      Pipeline local(pipeline_.options(), memo);
-      // Busy time = wall spent holding a claimed point; the gap to
-      // workers × wall is queue/steal idle time (the occupancy breakdown
-      // sweep_bench and trace_summary report).
-      std::uint64_t busy_us = 0;
-      std::uint64_t t = 0;
-      while (queue.next(t)) {
-        const auto point_t0 = std::chrono::steady_clock::now();
-        runner.run(local, todo[t], journal,
-                   journal ? nullptr : &results_[todo[t]], cancel_queue);
-        progress.tick();
-        busy_us += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - point_t0)
-                .count());
-      }
-      worker_busy_us().add(busy_us);
-      std::lock_guard<std::mutex> lock(merge_mu);
-      rep.stages.merge(local.stage_times());
-    });
+    PointScheduler scheduler(threads, pipeline_.options(), memo);
+    // A point that cannot quarantine (--strict, or no journal) throws: the
+    // job stops dispatching and wait() rethrows the first failure.
+    scheduler.wait(scheduler.submit(
+        todo.size(), 0, [&](Pipeline& local, std::uint64_t t) {
+          runner.run(local, todo[t], journal,
+                     journal ? nullptr : &results_[todo[t]]);
+          progress.tick();
+        }));
+    rep.stages = scheduler.stage_times();
     rep.workers = threads;
     rep.wall_s = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - wall_t0)
@@ -389,19 +364,7 @@ SweepReport DseEngine::sweep(bool force) {
   for (const auto& [key, row] : salvage)
     if (!journal.contains(key)) journal.append(key, row);
 
-  // Chaos hook: with an armed fault plan, a corrupt-kind spec firing on
-  // "journal.append" damages the serialised record's checksum so the next
-  // load must detect and drop it — this is how the journal's integrity
-  // checking is itself exercised end-to-end.
-  if (verify::FaultPlan::active())
-    journal.set_append_mutator(
-        [](const std::string& key, const std::string& line) {
-          if (!verify::fault_corrupt("journal.append", key)) return line;
-          std::string out = line;
-          const std::size_t pos = out.size() >= 2 ? out.size() - 2 : 0;
-          out[pos] = out[pos] == '0' ? '1' : '0';
-          return out;
-        });
+  verify::arm_journal_corruption(journal);
 
   const auto merge_siblings = [&](ResultJournal::Entries& known,
                                   ResultJournal::Fails& fails) {

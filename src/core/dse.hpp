@@ -7,7 +7,8 @@
 // 4320 points, and the final CSV cache is written atomically only once the
 // point set is complete. Sibling journals next to the cache (the elastic
 // workers' `<cache>.worker-N.journal`, src/sweep) merge into the same cache
-// the moment the union covers the plan.
+// the moment the union covers the plan. Missing points run as one job on a
+// core::PointScheduler (core/scheduler.hpp).
 //
 // Figures 5–10 all normalise over the same sweep, using the paper's
 // methodology: every simulation is divided by the simulation sharing *all
@@ -101,7 +102,7 @@ struct SweepOptions {
   /// carrying {error class, stage, attempts, message}, and the sweep keeps
   /// going — one pathological point must not discard thousands of healthy
   /// ones. `fail_fast` (run_dse --strict) restores the old behaviour: the
-  /// first failure cancels the queue and rethrows.
+  /// first failure stops the sweep's scheduler job and rethrows.
   bool fail_fast = false;
 
   /// Re-run points with a FAIL row. Off, a quarantined point counts as
@@ -163,9 +164,10 @@ struct SweepPlan {
 
 /// Builds the plan a sweep with `options` would run: explicit configs/apps
 /// when given, otherwise the analyzer-filtered `options.axes` grid (the
-/// paper's grid when unset). Deterministic — equal options produce an
-/// identical plan, which is what makes independently-built controller and
-/// worker plans interchangeable.
+/// paper's grid when unset). With `verify`, explicit configs are linted
+/// here: the first one breaking a rule throws SimError{config}.
+/// Deterministic — equal options produce an identical plan, which is what
+/// makes independently-built controller and worker plans interchangeable.
 SweepPlan make_sweep_plan(const SweepOptions& options);
 
 /// One quarantined sweep point, for the post-sweep report.
@@ -190,7 +192,7 @@ struct SweepReport {
                                          // static space analyzer
   std::uint64_t analysis_boxes = 0;      // boxes the analyzer classified
   bool finalized = false;          // cache CSV written (plan fully covered)
-  int workers = 0;                 // worker threads the compute phase used
+  int workers = 0;                 // scheduler threads the compute phase used
   double wall_s = 0.0;             // wall time of the compute phase
   StageTimes stages;               // per-stage wall time of computed points
   MemoStats memo;                  // shared-memo hit/miss counters

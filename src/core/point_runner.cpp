@@ -47,8 +47,7 @@ PointRunner::PointRunner(const SweepPlan& plan, const SweepOptions& options)
     : plan_(plan), options_(options) {}
 
 bool PointRunner::run(Pipeline& pipeline, std::uint64_t idx,
-                      ResultJournal* journal, SimResult* slot,
-                      const std::function<void()>& on_fatal) {
+                      ResultJournal* journal, SimResult* slot) {
   const std::string& key = plan_.keys[idx];
   for (int attempt = 1;; ++attempt) {
     // One trace span per *attempt*: retried points show as back-to-back
@@ -77,13 +76,16 @@ bool PointRunner::run(Pipeline& pipeline, std::uint64_t idx,
       span.set_outcome(obs::Outcome::kOk);
       points_ok().add();
       return true;
-    } catch (const SimError& e) {
+    } catch (const std::exception& e) {
+      // A foreign exception (bad_alloc, logic_error from a dependency) is
+      // contained like a model-class failure, so one point cannot kill the
+      // sweep — unless nothing can hold the quarantine: then it is fatal.
       if (options_.fail_fast || journal == nullptr) {
         span.set_outcome(obs::Outcome::kFail);
-        if (on_fatal) on_fatal();
         throw;
       }
-      const ErrorClass cls = e.error_class();
+      const auto* sim = dynamic_cast<const SimError*>(&e);
+      const ErrorClass cls = sim ? sim->error_class() : ErrorClass::kModel;
       if (cls == ErrorClass::kIo && attempt < options_.max_io_attempts) {
         // Transient: back off and retry the same point in place. Full
         // jitter — a deterministic fraction of the doubling cap — so
@@ -101,7 +103,8 @@ bool PointRunner::run(Pipeline& pipeline, std::uint64_t idx,
       }
       ResultJournal::FailRecord fail;
       fail.error_class = error_class_name(cls);
-      fail.stage = !e.stage().empty() ? e.stage() : deadline::current_stage();
+      fail.stage = sim && !sim->stage().empty() ? sim->stage()
+                                                : deadline::current_stage();
       fail.attempts = attempt;
       fail.message = e.what();
       journal->append_fail(key, fail);
@@ -115,28 +118,6 @@ bool PointRunner::run(Pipeline& pipeline, std::uint64_t idx,
                      key.c_str(), attempt, e.what(),
                      fail.error_class.c_str(),
                      fail.stage.empty() ? "unknown" : fail.stage.c_str());
-      return false;
-    } catch (const std::exception& e) {
-      // Foreign exception (bad_alloc, logic_error from a dependency):
-      // contain it like a model-class failure so one point cannot kill
-      // the sweep, unless the caller asked for fail-fast.
-      if (options_.fail_fast || journal == nullptr) {
-        span.set_outcome(obs::Outcome::kFail);
-        if (on_fatal) on_fatal();
-        throw;
-      }
-      ResultJournal::FailRecord fail;
-      fail.error_class = error_class_name(ErrorClass::kModel);
-      fail.stage = deadline::current_stage();
-      fail.attempts = attempt;
-      fail.message = e.what();
-      journal->append_fail(key, fail);
-      span.set_outcome(obs::Outcome::kQuarantined);
-      obs::instant("quarantine", key, obs::Outcome::kQuarantined);
-      points_quarantined().add();
-      if (options_.verbose)
-        std::fprintf(stderr, "[dse] quarantined %s: %s\n", key.c_str(),
-                     e.what());
       return false;
     }
   }

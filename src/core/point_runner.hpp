@@ -1,12 +1,13 @@
-// Per-point containment executor shared by DseEngine::sweep and the
-// elastic sweep workers (src/sweep/worker).
+// Per-point containment executor shared by every sweep path: the point
+// scheduler's jobs (DseEngine::sweep, the elastic fallback, dse_serve) and
+// the elastic sweep workers (src/sweep/worker).
 //
 // A sweep point is the unit of failure containment: one attempt runs the
 // full pipeline under a cooperative wall-clock budget, verifies the result
 // invariants, and journals either the result row or a quarantine (FAIL)
 // record. Transient io-class errors retry in place with full-jitter
 // exponential backoff; everything else quarantines (or, in fail-fast mode,
-// cancels the sweep and rethrows). The elastic controller relies on the
+// rethrows). The elastic controller relies on the
 // executor being *the same code* in-process and in a worker process: a
 // point computed by whichever party journals byte-identical rows, which is
 // what makes duplicate recomputation after a lease revocation harmless.
@@ -14,7 +15,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/journal.hpp"
@@ -40,11 +40,11 @@ class PointRunner {
   /// result is journaled into `journal` (when non-null) and/or stored into
   /// `slot` (when non-null); a contained failure appends a FAIL row and
   /// returns false. When quarantine is impossible (`fail_fast`, or no
-  /// journal to quarantine into) the failure is fatal: `on_fatal` fires —
-  /// the caller's chance to cancel its work queue — and the exception
-  /// rethrows. Thread-safe; the success/retry tallies are atomic.
+  /// journal to quarantine into) the failure is fatal and the exception
+  /// rethrows; on a PointScheduler that stops the rest of the job.
+  /// Thread-safe; the success/retry tallies are atomic.
   bool run(Pipeline& pipeline, std::uint64_t idx, ResultJournal* journal,
-           SimResult* slot, const std::function<void()>& on_fatal = {});
+           SimResult* slot);
 
   /// Points that produced a good result, across all run() calls.
   std::uint64_t succeeded() const { return succeeded_.load(); }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <climits>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -20,6 +18,7 @@
 #include "common/parallel.hpp"
 #include "core/dse.hpp"
 #include "core/point_runner.hpp"
+#include "core/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "serve/wire.hpp"
 #include "sweep/protocol.hpp"
@@ -97,6 +96,8 @@ struct DseServer::Impl {
 
   // ---- connection state -------------------------------------------------
 
+  struct Job;
+
   /// One connected client. Sends are serialised against close by `mu` so a
   /// compute thread finishing a point cannot race the I/O thread reaping
   /// the connection.
@@ -105,6 +106,7 @@ struct DseServer::Impl {
     sweep::LineChannel ch;
     std::mutex mu;
     bool closed = false;
+    std::vector<std::weak_ptr<Job>> jobs;  // admitted; I/O thread only
 
     bool send(const std::string& line) {
       std::lock_guard<std::mutex> lock(mu);
@@ -121,19 +123,17 @@ struct DseServer::Impl {
 
   /// One admitted request. Owns its plan/options because PointRunner keeps
   /// references into them; the Job itself is kept alive by shared_ptrs in
-  /// the scheduler, the workers, and the in-flight waiter lists.
+  /// its scheduler job, running points, and the in-flight waiter lists.
   struct Job {
     ClientPtr client;
     std::string id;
-    int priority = 0;
     core::SweepOptions sweep;
     core::SweepPlan plan;
     std::unique_ptr<core::PointRunner> runner;
+    core::PointScheduler::JobHandle scheduled;  // I/O thread only
     std::uint64_t skipped = 0;  // statically pruned grid points
-    std::size_t next = 0;       // dispatch cursor; guarded by sched_mu
     std::atomic<std::uint64_t> remaining{0};  // point replies still owed
     std::atomic<std::uint64_t> failed{0};
-    std::atomic<bool> cancelled{false};
     std::chrono::steady_clock::time_point t0;
   };
   using JobPtr = std::shared_ptr<Job>;
@@ -146,32 +146,18 @@ struct DseServer::Impl {
   int tcp_fd = -1;
   int bound_tcp_port = -1;
   int wake_r = -1, wake_w = -1;
-  std::shared_ptr<core::StageMemo> memo;
   std::unique_ptr<ResultJournal> journal;
 
+  std::unique_ptr<core::PointScheduler> scheduler;
   std::thread io;
-  std::vector<std::thread> workers;
   bool started = false;
   bool joined = false;
-
-  // ---- scheduler --------------------------------------------------------
-
-  std::mutex sched_mu;
-  std::condition_variable sched_cv;
-  std::vector<JobPtr> jobs;       // jobs with undispatched points
-  std::size_t rr = 0;             // round-robin cursor within a tier
-  std::uint64_t pending_points = 0;
-  bool stopping = false;
 
   // In-flight dedup: key → jobs waiting for the computation another worker
   // already started. Guarded by inflight_mu.
   std::mutex inflight_mu;
   std::unordered_map<std::string, std::vector<JobPtr>> inflight;
 
-  // ---- shutdown coordination --------------------------------------------
-
-  std::mutex stop_mu;
-  std::condition_variable stop_cv;
   std::atomic<bool> stop_requested{false};
 
   // ---- clients (I/O thread only) ----------------------------------------
@@ -360,7 +346,6 @@ struct DseServer::Impl {
     auto job = std::make_shared<Job>();
     job->client = client;
     job->id = req.id;
-    job->priority = req.priority;
     job->t0 = std::chrono::steady_clock::now();
     job->sweep.verbose = false;
     job->sweep.fail_fast = false;
@@ -374,7 +359,7 @@ struct DseServer::Impl {
                                          : core::SpaceAxes::paper();
         job->sweep.axes = filter_axes(base, req.where);
       }
-      // Unknown app, malformed config id, per-point lint failure, or the
+      // Unknown app, malformed config id, a config failing the lint, or the
       // static analyzer choking on the sub-box all surface here — before
       // any queue slot is consumed.
       job->plan = core::make_sweep_plan(job->sweep);
@@ -403,19 +388,21 @@ struct DseServer::Impl {
                       std::to_string(options.max_queue_points)));
       return;
     }
-    {
-      std::lock_guard<std::mutex> lock(sched_mu);
-      if (pending_points + job->plan.size() > options.max_queue_points) {
-        s_busy.fetch_add(1);
-        m_busy().add();
-        client->send(reply_busy(req.id));
-        return;
-      }
-      pending_points += job->plan.size();
-      m_queue_points().set(static_cast<double>(pending_points));
-      jobs.push_back(job);
+    job->scheduled = scheduler->submit(
+        job->plan.size(), req.priority,
+        [this, job](core::Pipeline& pipeline, std::uint64_t idx) {
+          process_point(pipeline, job, idx);
+        });
+    if (!job->scheduled) {
+      s_busy.fetch_add(1);
+      m_busy().add();
+      client->send(reply_busy(req.id));
+      return;
     }
-    sched_cv.notify_all();
+    std::erase_if(client->jobs, [](const std::weak_ptr<Job>& j) {
+      return j.expired();
+    });
+    client->jobs.push_back(job);
   }
 
   // ---- I/O thread -------------------------------------------------------
@@ -434,14 +421,14 @@ struct DseServer::Impl {
     }
   }
 
+  /// Closes the connection and cancels its jobs: their undispatched points
+  /// are answered as finished; running ones complete, unsent.
   void drop_client(const ClientPtr& client) {
     client->shut();
-    {
-      std::lock_guard<std::mutex> lock(sched_mu);
-      for (const auto& j : jobs)
-        if (j->client == client) j->cancelled.store(true);
-    }
-    sched_cv.notify_all();  // let workers drain the cancelled jobs
+    for (const auto& weak : client->jobs)
+      if (const JobPtr job = weak.lock())
+        if (const std::uint64_t n = scheduler->cancel(job->scheduled))
+          finish_points(*job, n);
   }
 
   void io_main() {
@@ -501,7 +488,7 @@ struct DseServer::Impl {
     clients.clear();
   }
 
-  // ---- compute workers ---------------------------------------------------
+  // ---- compute (scheduler threads) ---------------------------------------
 
   /// Accounts `n` answered points against `job`; the last one triggers the
   /// final `done` line and the request-latency observation.
@@ -516,77 +503,27 @@ struct DseServer::Impl {
         std::chrono::duration_cast<std::chrono::microseconds>(wall).count());
     s_done.fetch_add(1);
     m_request_us().observe(wall_us);
-    if (job.cancelled.load()) return;  // client is gone; nobody to tell
     const std::uint64_t failed = job.failed.load();
     job.client->send(reply_done(job.id, job.plan.size() - failed,
                                 job.skipped, failed, wall_us));
   }
 
-  /// Picks the next point under sched_mu: drain cancelled jobs, then the
-  /// highest priority tier, round-robin across jobs within it — one point
-  /// at a time, so a small request from one client overtakes the long tail
-  /// of a big one instead of queueing behind it.
-  bool pick_locked(JobPtr* out_job, std::uint64_t* out_idx) {
-    for (std::size_t i = 0; i < jobs.size();) {
-      JobPtr& j = jobs[i];
-      if (!j->cancelled.load()) {
-        ++i;
-        continue;
-      }
-      const std::uint64_t undispatched = j->plan.size() - j->next;
-      pending_points -= undispatched;
-      m_queue_points().set(static_cast<double>(pending_points));
-      JobPtr dead = std::move(j);
-      jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(i));
-      if (undispatched > 0) finish_points(*dead, undispatched);
-    }
-    if (jobs.empty()) {
-      rr = 0;
-      return false;
-    }
-    int best = INT_MIN;
-    for (const auto& j : jobs) best = std::max(best, j->priority);
-    const std::size_t n = jobs.size();
-    rr %= n;
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t at = (rr + k) % n;
-      JobPtr j = jobs[at];
-      if (j->priority != best) continue;
-      *out_job = j;
-      *out_idx = j->next++;
-      --pending_points;
-      m_queue_points().set(static_cast<double>(pending_points));
-      rr = (at + 1) % n;
-      if (j->next == j->plan.size())
-        jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(at));
-      return true;
-    }
-    return false;
-  }
-
   void send_point_reply(Job& job, const std::string& key,
                         const std::string& row, const std::string& fail_class,
                         bool ok, bool cached) {
-    if (!job.cancelled.load()) {
-      if (ok) {
-        job.client->send(reply_result(job.id, key, row, cached));
-      } else {
-        job.failed.fetch_add(1);
-        s_failed.fetch_add(1);
-        job.client->send(reply_failed(job.id, key, fail_class));
-      }
-    } else if (!ok) {
+    // A dropped client's sends are no-ops: its running points finish unsent.
+    if (ok) {
+      job.client->send(reply_result(job.id, key, row, cached));
+    } else {
       job.failed.fetch_add(1);
+      if (job.client->send(reply_failed(job.id, key, fail_class)))
+        s_failed.fetch_add(1);
     }
     finish_points(job, 1);
   }
 
   void process_point(core::Pipeline& pipeline, const JobPtr& job,
                      std::uint64_t idx) {
-    if (job->cancelled.load()) {
-      finish_points(*job, 1);
-      return;
-    }
     const std::string& key = job->plan.keys[idx];
 
     // Cache first: a key the journal already answers — good row or
@@ -650,33 +587,16 @@ struct DseServer::Impl {
       send_point_reply(*w, key, row, fail_class, ok, /*cached=*/true);
   }
 
-  void worker_main() {
-    core::Pipeline pipeline(options.pipeline, memo);
-    for (;;) {
-      JobPtr job;
-      std::uint64_t idx = 0;
-      {
-        std::unique_lock<std::mutex> lock(sched_mu);
-        sched_cv.wait(lock, [this] { return stopping || !jobs.empty(); });
-        if (stopping) return;
-        if (!pick_locked(&job, &idx)) continue;
-      }
-      process_point(pipeline, job, idx);
-    }
-  }
-
   // ---- lifecycle ---------------------------------------------------------
 
   void start() {
     MUSA_CHECK_MSG(!started, "serve: start() called twice");
     open_cache();
     open_listeners();
-    memo = std::make_shared<core::StageMemo>(fingerprint);
-    int threads = options.threads > 0 ? options.threads
-                                      : default_thread_count();
-    threads = std::max(1, threads);
-    for (int t = 0; t < threads; ++t)
-      workers.emplace_back([this] { worker_main(); });
+    scheduler = std::make_unique<core::PointScheduler>(
+        options.threads > 0 ? options.threads : default_thread_count(),
+        options.pipeline, std::make_shared<core::StageMemo>(fingerprint),
+        options.max_queue_points, &m_queue_points());
     io = std::thread([this] { io_main(); });
     started = true;
     if (options.verbose) {
@@ -695,22 +615,13 @@ struct DseServer::Impl {
       const char b = 'x';
       [[maybe_unused]] const ssize_t n = ::write(wake_w, &b, 1);
     }
-    stop_cv.notify_all();
   }
 
   void stop() {
     if (!started || joined) return;
     request_stop();
-    if (io.joinable()) io.join();
-    {
-      std::lock_guard<std::mutex> lock(sched_mu);
-      stopping = true;
-      for (const auto& j : jobs) j->cancelled.store(true);
-    }
-    sched_cv.notify_all();
-    for (auto& w : workers)
-      if (w.joinable()) w.join();
-    workers.clear();
+    if (io.joinable()) io.join();  // its exit cancelled every client's jobs
+    scheduler.reset();
     if (unix_fd >= 0) ::close(unix_fd);
     if (tcp_fd >= 0) ::close(tcp_fd);
     if (wake_r >= 0) ::close(wake_r);
@@ -722,11 +633,9 @@ struct DseServer::Impl {
   }
 
   void wait() {
-    std::unique_lock<std::mutex> lock(stop_mu);
-    // Bounded waits: a request_stop() from a signal handler may not be
-    // able to safely notify the condvar, so never rely on the wakeup.
+    // Polled: a request_stop() from a signal handler cannot safely notify.
     while (!stop_requested.load())
-      stop_cv.wait_for(lock, std::chrono::milliseconds(200));
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 };
 

@@ -13,23 +13,24 @@
 // Execution model:
 //   * one I/O thread: poll(2) over the listeners and every client,
 //     admission control, request parsing;
-//   * N compute threads, each owning a private core::Pipeline attached to
-//     one shared StageMemo (the DseEngine worker pattern), executing
-//     points through the same core::PointRunner containment the batch
-//     engine and elastic workers use — served rows are byte-identical to
-//     a batch sweep's by construction;
-//   * a point-granular scheduler: strict priority tiers, round-robin
-//     across jobs within a tier, so a 1-point query never queues behind a
-//     thousand-point space sweep from another client (fairness), and an
-//     in-flight dedup map so concurrent requests for the same key share
-//     one computation.
+//   * one core::PointScheduler (core/scheduler.hpp), the point scheduler
+//     batch sweeps run on: N compute threads, each owning a private
+//     core::Pipeline attached to one shared StageMemo, executing points
+//     through the same core::PointRunner containment the batch engine and
+//     elastic workers use — served rows are byte-identical to a batch
+//     sweep's by construction. Each request is one job; dispatch is strict
+//     priority tiers, round-robin across jobs within a tier, so a 1-point
+//     query never queues behind a thousand-point space sweep;
+//   * an in-flight dedup map so concurrent requests for the same key
+//     share one computation.
 //
 // Admission control: a request whose statically-pruned plan would push the
 // queued-point total past `max_queue_points` gets a `busy` reply (retry
-// later); one that could never fit gets an `error`. Sub-space requests are
-// pruned by the static space analyzer (verify/space_analysis.hpp) inside
-// make_sweep_plan before they are admitted, so infeasible regions cost
-// O(boxes), not O(points), and are reported as `skipped`.
+// later); one that could never fit gets an `error`. make_sweep_plan prunes
+// sub-space requests with the static space analyzer
+// (verify/space_analysis.hpp), so infeasible regions cost O(boxes) and are
+// reported as `skipped`, and lints point requests: a config the rules
+// reject earns an `error` and is never simulated.
 //
 // Cache invalidation: the result journal is keyed to the pipeline-options
 // fingerprint via a sidecar file; starting the server with different
@@ -97,7 +98,7 @@ class DseServer {
   DseServer(const DseServer&) = delete;
   DseServer& operator=(const DseServer&) = delete;
 
-  /// Binds the listeners and spawns the I/O and compute threads. Throws
+  /// Binds the listeners and starts the I/O thread and the scheduler. Throws
   /// SimError when a socket cannot be bound or no listener is configured.
   void start();
 

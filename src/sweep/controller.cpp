@@ -13,14 +13,15 @@
 #include "common/check.hpp"
 #include "common/csv.hpp"
 #include "common/journal.hpp"
+#include "common/parallel.hpp"
 #include "common/parse.hpp"
 #include "common/progress.hpp"
 #include "core/point_runner.hpp"
+#include "core/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sweep/protocol.hpp"
 #include "sweep/worker.hpp"
-#include "verify/config_rules.hpp"
 #include "verify/faultpoint.hpp"
 
 #ifndef _WIN32
@@ -115,8 +116,6 @@ ElasticReport ElasticController::run() {
   const std::vector<std::string> header = core::DseEngine::csv_header();
 
   const core::SweepPlan plan = core::make_sweep_plan(sweep_);
-  if (sweep_.verify && !plan.statically_verified)
-    for (const auto& config : plan.configs) verify::validate_machine(config);
 
   // Resume state: a key is resolved if a parseable cache row or any
   // journal (a dead controller's, a dead worker's) already covers it.
@@ -171,15 +170,7 @@ ElasticReport ElasticController::run() {
   // stream. Same path the engine journals to, so the finalize pass loads
   // it as its own.
   ResultJournal journal(cache_path_ + ".journal", header);
-  if (verify::FaultPlan::active())
-    journal.set_append_mutator(
-        [](const std::string& key, const std::string& line) {
-          if (!verify::fault_corrupt("journal.append", key)) return line;
-          std::string out = line;
-          const std::size_t pos = out.size() >= 2 ? out.size() - 2 : 0;
-          out[pos] = out[pos] == '0' ? '1' : '0';
-          return out;
-        });
+  verify::arm_journal_corruption(journal);
 
   const auto log_lease = [&](const char* event, int chunk, int worker,
                              const std::string& detail) {
@@ -245,36 +236,43 @@ ElasticReport ElasticController::run() {
   };
 
   // In-process fallback: the terminal state of a chunk that worker
-  // processes cannot finish. PointRunner never consults the process-level
-  // fault kinds, so a kill/hang spec keyed to this chunk cannot reach the
-  // controller; journal.append faults are retried a bounded number of
-  // times (their fire budget is per process, so the retry succeeds), and
-  // any key still unresolved after that is left to the finalize engine.
+  // processes cannot finish, run as one job per attempt on a point
+  // scheduler joined before any later fork. PointRunner never consults the
+  // process-level fault kinds, so a kill/hang spec keyed to this chunk
+  // cannot reach the controller; journal.append faults are retried a
+  // bounded number of times (their fire budget is per process, so the
+  // retry succeeds), and any key still unresolved after that is left to
+  // the finalize engine.
   std::shared_ptr<core::StageMemo> ctrl_memo;
   if (sweep_.memoize)
     ctrl_memo = std::make_shared<core::StageMemo>(
         core::pipeline_options_fingerprint(pipeline_.options()));
-  std::unique_ptr<core::Pipeline> ctrl_pipeline;
   core::SweepOptions ctrl_sweep = sweep_;
   ctrl_sweep.fail_fast = false;
   core::PointRunner runner(plan, ctrl_sweep);
   const auto run_inprocess = [&](int c) {
-    if (!ctrl_pipeline)
-      ctrl_pipeline =
-          std::make_unique<core::Pipeline>(pipeline_.options(), ctrl_memo);
     ++rep.inprocess_chunks;
     inprocess_total().add();
     log_lease("inprocess", c, -1, "");
     const LeaseChunk& chunk = table.chunk(c);
-    for (int attempt = 0; attempt < 3 && !chunk_covered(c); ++attempt)
-      for (std::uint64_t t = chunk.begin; t < chunk.end; ++t) {
-        const std::uint64_t idx = pending[t];
-        if (resolved.count(plan.keys[idx]) != 0) continue;
-        runner.run(*ctrl_pipeline, idx, &journal, nullptr);
+    for (int attempt = 0; attempt < 3 && !chunk_covered(c); ++attempt) {
+      std::vector<std::uint64_t> todo;
+      for (std::uint64_t t = chunk.begin; t < chunk.end; ++t)
+        if (resolved.count(plan.keys[pending[t]]) == 0)
+          todo.push_back(pending[t]);
+      core::PointScheduler scheduler(
+          static_cast<int>(std::min<std::uint64_t>(default_thread_count(),
+                                                   todo.size())),
+          pipeline_.options(), ctrl_memo);
+      scheduler.wait(scheduler.submit(
+          todo.size(), 0, [&](core::Pipeline& p, std::uint64_t i) {
+            runner.run(p, todo[i], &journal, nullptr);
+          }));
+      for (const std::uint64_t idx : todo)
         if (journal.contains(plan.keys[idx]) ||
             journal.contains_fail(plan.keys[idx]))
           mark_resolved(plan.keys[idx]);
-      }
+    }
     for (std::uint64_t t = chunk.begin; t < chunk.end; ++t)
       if (resolved.count(plan.keys[pending[t]]) == 0)
         log_lease("abandoned", c, -1, plan.keys[pending[t]]);

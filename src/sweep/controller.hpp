@@ -17,7 +17,9 @@
 //     running median of committed chunk times): revoke and re-lease; the
 //     slow worker keeps running, duplicate rows are idempotent
 //   - a chunk keeps killing holders   -> after poison_limit revocations the
-//     controller computes it in-process, where worker-only fault sites are
+//     controller computes it in-process, as one job on a core::
+//     PointScheduler built and joined inside that call (no scheduler
+//     thread outlives it into a fork), where worker-only fault sites are
 //     never evaluated
 //   - workers keep dying              -> respawn budget exhausts, the
 //     controller finishes everything in-process

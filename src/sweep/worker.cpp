@@ -102,18 +102,9 @@ int worker_main(int fd, const WorkerEnv& env) {
 
   ResultJournal journal(worker_journal_path(env.cache_path, env.spawn_id),
                         core::DseEngine::csv_header());
-  // Same chaos hook as the in-process engine: a corrupt-kind fault firing
-  // on journal.append damages this worker's record so the controller's
-  // tailer must detect, drop, and re-lease.
-  if (verify::FaultPlan::active())
-    journal.set_append_mutator(
-        [](const std::string& key, const std::string& line) {
-          if (!verify::fault_corrupt("journal.append", key)) return line;
-          std::string out = line;
-          const std::size_t pos = out.size() >= 2 ? out.size() - 2 : 0;
-          out[pos] = out[pos] == '0' ? '1' : '0';
-          return out;
-        });
+  // A corrupted record here must be detected, dropped and re-leased by
+  // the controller's tailer.
+  verify::arm_journal_corruption(journal);
 
   std::shared_ptr<core::StageMemo> memo;
   if (sweep.memoize)

@@ -254,6 +254,18 @@ bool fault_corrupt(const char* site, const std::string& key) {
   return corrupt;
 }
 
+void arm_journal_corruption(ResultJournal& journal) {
+  if (!FaultPlan::active()) return;
+  journal.set_append_mutator(
+      [](const std::string& key, const std::string& line) {
+        if (!fault_corrupt("journal.append", key)) return line;
+        std::string out = line;
+        const std::size_t pos = out.size() >= 2 ? out.size() - 2 : 0;
+        out[pos] = out[pos] == '0' ? '1' : '0';
+        return out;
+      });
+}
+
 ProcessFault process_fault(const char* site, const std::string& key) {
   GlobalPlan& g = global_plan();
   std::vector<FaultSpec> specs;

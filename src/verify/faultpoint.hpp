@@ -48,6 +48,8 @@
 #include <string>
 #include <vector>
 
+#include "common/journal.hpp"
+
 namespace musa::verify {
 
 enum class FaultKind { kIo, kModel, kInjected, kDelay, kCorrupt,
@@ -104,6 +106,11 @@ void fault_point(const char* site, const std::string& key);
 
 /// True when a corrupt-kind spec fires at `site` for `key`.
 bool fault_corrupt(const char* site, const std::string& key);
+
+/// With an active plan, makes `journal` corrupt each record's checksum
+/// when fault_corrupt("journal.append", key) fires, so readers must drop
+/// it: the chaos hook every sweep journal writer installs.
+void arm_journal_corruption(ResultJournal& journal);
 
 /// Verdict of the process-level fault kinds (kill/hang/babble) at a site.
 /// Unlike fault_point(), nothing is thrown or slept here: the caller — the

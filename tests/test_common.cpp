@@ -14,7 +14,6 @@
 #include "common/check.hpp"
 #include "common/csv.hpp"
 #include "common/flat_table.hpp"
-#include "common/parallel.hpp"
 #include "common/parse.hpp"
 #include "common/progress.hpp"
 #include "common/rng.hpp"
@@ -263,31 +262,6 @@ TEST(Csv, SaveIsAtomicReplaceLeavingNoTempFile) {
   EXPECT_EQ(CsvDoc::load(path).rows()[0][0], "new");
   EXPECT_FALSE(CsvDoc::file_exists(path + ".tmp"));
   std::remove(path.c_str());
-}
-
-TEST(Parallel, WorkQueueHandsOutEachIndexOnceUntilCancelled) {
-  WorkQueue q(3);
-  std::uint64_t i = 99;
-  ASSERT_TRUE(q.next(i));
-  EXPECT_EQ(i, 0u);
-  ASSERT_TRUE(q.next(i));
-  EXPECT_EQ(i, 1u);
-  q.cancel();
-  EXPECT_FALSE(q.next(i));  // index 2 is never handed out once cancelled
-
-  WorkQueue drained(1);
-  ASSERT_TRUE(drained.next(i));
-  EXPECT_EQ(i, 0u);
-  EXPECT_FALSE(drained.next(i));
-  EXPECT_FALSE(drained.next(i));
-}
-
-TEST(Parallel, ParallelWorkersRethrowsWorkerException) {
-  EXPECT_THROW(parallel_workers(4,
-                                [](int w) {
-                                  if (w == 2) throw SimError("worker 2 died");
-                                }),
-               SimError);
 }
 
 TEST(Progress, FormatDurationScalesUnits) {

@@ -373,6 +373,14 @@ TEST(Serve, MalformedRequestsEarnErrorsNotCrashes) {
       "\"config\":\"x\",\"priority\":1e9}",              // out-of-range
       "{\"id\":\"a\",\"op\":\"ping\",\"fingerprint\":\"zz\"}",  // bad hex
       "{\"id\":\"a\",\"op\":\"shutdown\"}",              // disabled
+      // Well-formed config ids that fail the config lint: each must be
+      // refused before admission, never simulated or journaled.
+      "{\"id\":\"a\",\"op\":\"point\",\"app\":\"hydro\",\"config\":"
+      "\"aggressive|32M:256K|20.0GHz|128b|4ch-DDR4-2333|32c\"}",  // freq
+      "{\"id\":\"a\",\"op\":\"point\",\"app\":\"hydro\",\"config\":"
+      "\"aggressive|32M:256K|1.5GHz|128b|100ch-DDR4-2333|32c\"}",  // channels
+      "{\"id\":\"a\",\"op\":\"point\",\"app\":\"hydro\",\"config\":"
+      "\"aggressive|32M:256K|1.5GHz|100b|4ch-DDR4-2333|32c\"}",  // vector
   };
   for (const auto& line : bad) {
     ASSERT_TRUE(ch.send(line)) << line;
@@ -392,6 +400,11 @@ TEST(Serve, MalformedRequestsEarnErrorsNotCrashes) {
   EXPECT_TRUE(has_field(read_reply(ch), "pong"));
   server.stop();
   EXPECT_GE(server.stats().errors, bad.size());
+  EXPECT_EQ(server.stats().computed, 0u);
+  const ResultJournal::LoadResult journal = ResultJournal::read(
+      opts.cache_path + ".journal", core::DseEngine::csv_header());
+  EXPECT_TRUE(journal.entries.empty());
+  EXPECT_TRUE(journal.fails.empty());
 }
 
 TEST(Serve, BabblingClientIsDisconnectedOthersUnaffected) {

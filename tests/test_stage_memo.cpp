@@ -10,11 +10,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/journal.hpp"
-#include "common/parallel.hpp"
 #include "core/dse.hpp"
 
 namespace musa::core {
@@ -172,12 +172,15 @@ TEST(StageMemo, EightWorkersHammeringSharedMemoAgreeWithPlain) {
       pipeline_options_fingerprint(fast_options()));
   constexpr int kWorkers = 8;
   std::vector<std::vector<std::vector<std::string>>> got(kWorkers);
-  parallel_workers(kWorkers, [&](int w) {
-    Pipeline local(fast_options(), memo);
-    for (const auto& c : configs)
-      got[static_cast<std::size_t>(w)].push_back(
-          DseEngine::to_row(local.run(app, c)));
-  });
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w)
+    workers.emplace_back([&, w] {
+      Pipeline local(fast_options(), memo);
+      for (const auto& c : configs)
+        got[static_cast<std::size_t>(w)].push_back(
+            DseEngine::to_row(local.run(app, c)));
+    });
+  for (auto& t : workers) t.join();
 
   for (int w = 0; w < kWorkers; ++w)
     EXPECT_EQ(got[static_cast<std::size_t>(w)], expected)
