@@ -1,6 +1,6 @@
-# Figure/table reproduction binaries. Declared at top level via include()
-# so ${CMAKE_BINARY_DIR}/bench holds only runnable executables
-# (`for b in build/bench/*; do $b; done` regenerates every paper artifact).
+# Bench and paper-artifact binaries. Declared at top level via include()
+# so ${CMAKE_BINARY_DIR}/bench holds only runnable executables; every paper
+# table and figure comes from one of them, `build/bench/dse_figures`.
 function(musa_add_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE musa_core)
@@ -22,17 +22,16 @@ target_link_libraries(dse_loadtest PRIVATE musa_serve)
 musa_add_bench(ablation_model)
 musa_add_bench(power_report)
 musa_add_bench(dse_report)
-musa_add_bench(table1_configs)
-musa_add_bench(fig1_workload_stats)
-musa_add_bench(fig2_scaling)
-musa_add_bench(fig3_fig4_timelines)
-musa_add_bench(fig5_vector_width)
-musa_add_bench(fig6_cache_size)
-musa_add_bench(fig7_ooo)
-musa_add_bench(fig8_mem_channels)
-musa_add_bench(fig9_frequency)
-musa_add_bench(fig10_pca)
-musa_add_bench(fig11_unconventional)
+musa_add_bench(dse_figures)
+# Every paper shape holds on the committed cache, and EXPERIMENTS.md's
+# generated claim blocks are exactly what dse_figures writes (it runs on
+# build-dir copies of both, so nothing in the source tree is touched).
+add_test(NAME dse_figures.experiments
+  COMMAND ${CMAKE_COMMAND} -DFIGURES=$<TARGET_FILE:dse_figures>
+          -DSOURCE_DIR=${CMAKE_SOURCE_DIR}
+          -DWORK_DIR=${CMAKE_BINARY_DIR}/dse_figures_check
+          -P ${CMAKE_SOURCE_DIR}/bench/check_figures.cmake)
+set_tests_properties(dse_figures.experiments PROPERTIES LABELS figures)
 
 # Component microbenchmarks (google-benchmark).
 add_executable(micro_components ${CMAKE_SOURCE_DIR}/bench/micro_components.cpp)

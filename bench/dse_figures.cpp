@@ -1,0 +1,717 @@
+// Every table and figure of the paper from one binary, with its shapes
+// checked. Each figure function prints its tables and returns claims: a
+// measured value with the band the reproduction holds it to (or an
+// ordering), beside the paper's value. A claim whose band excludes the
+// paper's value is a known deviation; drifting either way fails it.
+//
+// Usage: dse_figures [table1|fig1|...|fig11 ...] [--csv DIR]
+//                    [--experiments FILE]
+// No figure named runs them all. --csv writes every printed table as
+// DIR/<table>.csv; --experiments rewrites FILE's `<!-- dse_figures figN -->`
+// ... `<!-- /dse_figures -->` blocks. Exits 1 if a claim fails, 2 on bad
+// usage. Figs 5-10 read the DSE cache (MUSA_DSE_CACHE, default
+// dse_cache.csv, swept when missing); the rest run the pipeline live.
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <map>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "analysis/pca.hpp"
+#include "analysis/timeline.hpp"
+#include "common/csv.hpp"
+#include "common/fsio.hpp"
+#include "fig_common.hpp"
+#include "verify/invariants.hpp"
+
+namespace {
+
+using namespace musa;
+using AppFn = std::function<double(const char*)>;
+
+std::string num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3g", v);
+  return buf;
+}
+
+/// The paper's value: a number, or its words with the range they allow
+/// (words without a range agree with the claim's band).
+struct Paper {
+  Paper(double v) : text(num(v)), lo(v), hi(v) {}  // NOLINT: implicit
+  Paper(const char* w, double lo = NAN, double hi = NAN)  // NOLINT
+      : text(w), lo(lo), hi(hi) {}
+  std::string text;
+  double lo, hi;
+};
+
+struct Claim {
+  std::string what, measured, band, paper;
+  bool holds, deviation;  // measured in band; paper's value outside it
+  const char* status() const {
+    return !holds ? "FAIL" : deviation ? "deviation" : "ok";
+  }
+};
+
+Claim band(std::string what, double v, double lo, double hi, Paper p) {
+  return {std::move(what), num(v), "[" + num(lo) + ", " + num(hi) + "]",
+          p.text, lo <= v && v <= hi, p.hi < lo || p.lo > hi};
+}
+
+/// `names` in strictly descending order of `v`; `paper` holds the paper's
+/// values in the same order (empty: the paper states the order in words).
+Claim descending(std::string what, const std::vector<std::string>& names,
+                 const std::vector<double>& v,
+                 const std::vector<double>& paper = {}) {
+  Claim c{std::move(what), "", "", "same order", false, false};
+  for (const auto& n : names) c.band += (c.band.empty() ? "" : " > ") + n;
+  const auto sorted = [](const std::vector<double>& x, std::string& text) {
+    text.clear();
+    for (const double d : x) text += (text.empty() ? "" : " > ") + num(d);
+    return std::ranges::adjacent_find(x, std::less_equal<>()) == x.end();
+  };
+  c.holds = sorted(v, c.measured);
+  c.deviation = !paper.empty() && !sorted(paper, c.paper);
+  return c;
+}
+
+/// fn(app) for every app but `skip`, in registry order.
+std::vector<double> over_apps(const AppFn& fn, const std::string& skip = "") {
+  std::vector<double> out;
+  for (const auto& app : apps::registry())
+    if (app.name != skip) out.push_back(fn(app.name.c_str()));
+  return out;
+}
+double min_of(const AppFn& fn, const std::string& skip = "") {
+  return std::ranges::min(over_apps(fn, skip));
+}
+double max_of(const AppFn& fn, const std::string& skip = "") {
+  return std::ranges::max(over_apps(fn, skip));
+}
+double mean_of(const AppFn& fn) {
+  double sum = 0;
+  for (const double x : over_apps(fn)) sum += x;
+  return sum / static_cast<double>(apps::registry().size());
+}
+
+/// What the figures share: one pipeline, the cache-backed DSE engine (it
+/// loads or sweeps on first use) and the --csv directory.
+struct Figures {
+  core::Pipeline pipeline;
+  core::DseEngine dse{pipeline, bench::dse_cache_path()};
+  std::string csv_dir;
+
+  /// Renders `t`; with --csv also writes it to <csv_dir>/<name>.csv (CsvDoc
+  /// has no quoting, so commas inside cells become ';').
+  std::string table(const std::string& name, const TextTable& t) const {
+    if (csv_dir.empty()) return t.str();
+    const auto clean = [&](std::vector<std::string> cells) {
+      for (auto& c : cells) std::ranges::replace(c, ',', ';');
+      cells.resize(t.header().size());
+      return cells;
+    };
+    CsvDoc doc(clean(t.header()));
+    for (const auto& row : t.rows()) doc.add_row(clean(row));
+    doc.save(csv_dir + "/" + name + ".csv");
+    return t.str();
+  }
+};
+
+std::vector<Claim> table1(Figures& f) {
+  std::printf("Table I: simulation architectural parameters\n\n");
+  const auto two = [](auto a, auto b) {
+    return std::to_string(a) + " / " + std::to_string(b);
+  };
+  TextTable caches({"Label", "L3 size/assoc/lat", "L2 size/assoc/lat"});
+  for (const auto& label : core::ConfigSpace::cache_labels()) {
+    core::MachineConfig c;
+    c.cache_label = label;
+    const auto h = c.cache_config(1);
+    caches.row().cell(label);
+    caches.cell(std::to_string(h.l3.size_bytes >> 20) + "MB / " +
+                two(h.l3.ways, h.l3.latency_cycles));
+    caches.cell(std::to_string(h.l2.size_bytes >> 10) + "kB / " +
+                two(h.l2.ways, h.l2.latency_cycles));
+  }
+  std::printf("%s\n", f.table("table1_caches", caches).c_str());
+
+  TextTable cores({"Core", "ROB", "Issue", "StoreBuf", "ALU/FPU", "IRF/FRF"});
+  for (const auto& c : cpusim::core_presets()) {
+    cores.row().cell(c.label).cell(std::to_string(c.rob));
+    cores.cell(std::to_string(c.issue_width));
+    cores.cell(std::to_string(c.store_buffer));
+    cores.cell(two(c.alus, c.fpus)).cell(two(c.irf, c.frf));
+  }
+  std::printf("%s\n", f.table("table1_cores", cores).c_str());
+
+  TextTable other({"Other param.", "Values"});
+  other.row().cell("Frequency [GHz]").cell("1.5, 2.0, 2.5, 3.0");
+  other.row().cell("Vector width [bits]").cell("128, 256, 512");
+  other.row().cell("Memory [DDR4-2333]").cell("4-channel, 8-channel");
+  other.row().cell("Number of Cores").cell("1, 32, 64");
+  std::printf("%s\n", f.table("table1_other", other).c_str());
+
+  const std::size_t n = core::ConfigSpace::full_space().size();
+  std::printf("total simulated configurations per application: %zu\n", n);
+  return {band("configurations per application", n, 864, 864, 864)};
+}
+
+std::vector<Claim> fig1(Figures& f) {
+  // Paper Fig. 1: {L1, L2, L3 MPKI, GMemReq/s} per app, 32c then 64c.
+  using Row = std::array<double, 4>;
+  using Rows = std::map<std::string, Row>;
+  const std::map<std::string, std::array<Row, 2>> kPaper = {
+      {"hydro", {{{5.98, 1.78, 0.19, 0.02}, {6.00, 1.83, 0.19, 0.04}}}},
+      {"spmz", {{{96.99, 22.26, 13.80, 0.48}, {96.99, 22.26, 13.80, 0.48}}}},
+      {"btmz", {{{24.14, 1.86, 0.57, 0.11}, {24.17, 1.87, 0.68, 0.18}}}},
+      {"spec3d", {{{43.32, 6.95, 4.81, 0.41}, {43.32, 6.95, 4.80, 0.41}}}},
+      {"lulesh", {{{13.50, 4.61, 5.27, 0.51}, {13.44, 4.61, 5.58, 0.61}}}}};
+  std::printf(
+      "Fig. 1: application runtime statistics (MPKI, GMemReq/s)\n"
+      "config: medium OoO, 32M:256K caches, 2.0 GHz, 128-bit, 4ch DDR4\n\n");
+
+  std::vector<Claim> claims;
+  for (int cores : {32, 64}) {
+    std::printf("--- %d cores x 256 ranks ---\n", cores);
+    TextTable t({"app", "L1-MPKI", "L2-MPKI", "L3-MPKI", "GReq/s",
+                 "paper L1", "paper L2", "paper L3", "paper GReq/s"});
+    Rows m, p;  // measured and paper, by app
+    for (const auto& app : apps::registry()) {
+      core::MachineConfig config;
+      config.cores = cores;
+      const core::SimResult r = f.pipeline.run(app, config);
+      m[app.name] = {r.mpki_l1, r.mpki_l2, r.mpki_l3, r.gmem_req_s};
+      p[app.name] = kPaper.at(app.name)[cores == 32 ? 0 : 1];
+      t.row().cell(app.name);
+      for (const double v : m[app.name]) t.cell(v, 2);
+      for (const double v : p[app.name]) t.cell(v, 2);
+    }
+    const std::string at = std::to_string(cores) + "c";
+    std::printf("%s\n", f.table("fig1_" + at, t).c_str());
+
+    // Each claim reads the same quantity off the measured and paper rows.
+    const auto claim = [&](const std::string& what, double lo, double hi,
+                           const std::function<double(Rows&)>& get) {
+      claims.push_back(band(what + " @" + at, get(m), lo, hi, get(p)));
+    };
+    const std::vector<std::string> order = {"spmz", "spec3d", "btmz",
+                                            "lulesh", "hydro"};
+    std::vector<double> l1, paper_l1;
+    for (const auto& a : order) l1.push_back(m[a][0]);
+    for (const auto& a : order) paper_l1.push_back(p[a][0]);
+    claims.push_back(descending("L1 MPKI @" + at, order, l1, paper_l1));
+    claim("hydro GReq/s over the next-lowest", 0, 0.8, [](Rows& x) {
+      return x["hydro"][3] /
+             min_of([&](const char* a) { return x[a][3]; }, "hydro");
+    });
+    claim("lulesh L3/L2 MPKI", 0.85, 1.25,
+          [](Rows& x) { return x["lulesh"][2] / x["lulesh"][1]; });
+    claim("spmz L3 MPKI", 2.5, 5, [](Rows& x) { return x["spmz"][2]; });
+    claim("lulesh L2 MPKI", 10, 20, [](Rows& x) { return x["lulesh"][1]; });
+    claim("lulesh L3 MPKI", 10, 20, [](Rows& x) { return x["lulesh"][2]; });
+    claim("spec3d GReq/s", 0.05, 0.2, [](Rows& x) { return x["spec3d"][3]; });
+  }
+  return claims;
+}
+
+std::vector<Claim> fig2(Figures& f) {
+  std::printf("Fig. 2: hardware-agnostic scaling (speed-up vs 1 core)\n\n");
+  TextTable ta({"app", "1c", "32c", "64c", "eff@32", "eff@64"}), tb = ta;
+  std::map<std::string, std::array<double, 4>> s;  // a32, a64, b32, b64
+  for (const auto& app : apps::registry()) {
+    const core::BurstResult r1 = f.pipeline.run_burst(app, 1, 256);
+    const core::BurstResult r32 = f.pipeline.run_burst(app, 32, 256);
+    const core::BurstResult r64 = f.pipeline.run_burst(app, 64, 256);
+    s[app.name] = {r1.region_seconds / r32.region_seconds,
+                   r1.region_seconds / r64.region_seconds,
+                   r1.wall_seconds / r32.wall_seconds,
+                   r1.wall_seconds / r64.wall_seconds};
+    for (int k : {0, 2}) {
+      TextTable& t = k == 0 ? ta : tb;
+      const double x32 = s[app.name][k], x64 = s[app.name][k + 1];
+      t.row().cell(app.name).cell(1.0, 1).cell(x32, 1).cell(x64, 1);
+      t.cell(100 * x32 / 32, 0).cell(100 * x64 / 64, 0);
+    }
+  }
+  const auto eff = [&](int k) {  // mean efficiency in % of column k of `s`
+    double sum = 0;
+    for (const double x : over_apps([&](const char* a) { return s[a][k]; }))
+      sum += x / (k % 2 == 0 ? 32 : 64);
+    return 100 * sum / static_cast<double>(s.size());
+  };
+  std::printf("(a) single compute region (no MPI):\n%s",
+              f.table("fig2_a", ta).c_str());
+  std::printf(
+      "average efficiency: %.0f%% @32, %.0f%% @64  (paper: ~70%%, ~50%%)\n\n",
+      eff(0), eff(1));
+  std::printf("(b) full application incl. MPI (256 ranks):\n%s",
+              f.table("fig2_b", tb).c_str());
+  std::printf(
+      "average efficiency: %.0f%% @32, %.0f%% @64  (paper: 49%%, 28%%)\n",
+      eff(2), eff(3));
+
+  const auto a64 = [&](const char* a) { return 100 * s[a][1] / 64; };
+  const auto b_over_a = [&](const char* a) {
+    return std::max(s[a][2] / s[a][0], s[a][3] / s[a][1]);
+  };
+  return {
+      band("(a) mean efficiency @32c, %", eff(0), 60, 75, 70),
+      band("(a) mean efficiency @64c, %", eff(1), 48, 60, 50),
+      band("(a) hydro efficiency @64c, %", a64("hydro"), 85, 100, "> 75"),
+      band("(a) max other efficiency @64c, %", max_of(a64, "hydro"), 40, 70,
+           "< 75"),
+      band("(b)/(a) speed-up, max", max_of(b_over_a), 0.5, 0.95, "< 1"),
+      band("spec3d (a) 64c/32c", s["spec3d"][1] / s["spec3d"][0], 0.95, 1.05,
+           "plateaus"),
+      band("(b) mean efficiency @32c, %", eff(2), 45, 58, 49),
+      band("(b) mean efficiency @64c, %", eff(3), 33, 43, 28),
+  };
+}
+
+std::vector<Claim> fig3(Figures& f) {
+  const apps::AppModel& app = apps::find_app("spec3d");
+  cpusim::NodeResult node;
+  f.pipeline.run_burst(app, 64, /*ranks=*/1, &node, nullptr);
+  verify::raise_if(verify::check_core_timeline(node.timeline, 64,
+                                               node.seconds, app.name));
+  std::printf(
+      "Fig. 3: Specfem3D task execution on a 64-core node\n"
+      "('#' = task running, '.' = idle; low task parallelism leaves most "
+      "CPUs idle)\n\n");
+  std::printf("%s\n",
+              analysis::render_core_timeline(node.timeline, 64, node.seconds)
+                  .c_str());
+  std::set<int> busy;
+  for (const auto& seg : node.timeline) busy.insert(seg.core);
+  return {band("share of the 64 cores that run any task", busy.size() / 64.0,
+               0.1, 0.3, "most idle")};
+}
+
+std::vector<Claim> fig4(Figures& f) {
+  const apps::AppModel& app = apps::find_app("lulesh");
+  netsim::ReplayResult replay;
+  f.pipeline.run_burst(app, 64, /*ranks=*/64, nullptr, &replay);
+  verify::raise_if(verify::check_rank_timeline(
+      replay.timeline, 64, replay.total_seconds, app.name));
+  std::printf(
+      "Fig. 4: LULESH compute/MPI phases per rank (64 of 256 ranks "
+      "rendered)\n"
+      "('C' = compute, 'p' = point-to-point, 'B' = barrier/collective "
+      "wait)\n\n");
+  std::printf("%s\n", analysis::render_rank_timeline(replay.timeline, 64,
+                                                     replay.total_seconds)
+                          .c_str());
+  std::printf(
+      "MPI cost split: imbalance-driven waits at collectives exceed p2p "
+      "transfer (the paper's §V-A has them dominate):\n");
+  double p2p = 0, coll = 0;
+  for (const auto& r : replay.ranks) {
+    p2p += r.p2p_s;
+    coll += r.collective_s;
+  }
+  std::printf("  total p2p time: %.3f s, total collective wait: %.3f s\n",
+              p2p, coll);
+  // The paper's "p2p minimal ... collectives dominate" read as >= 3x.
+  return {band("collective wait over p2p time", coll / p2p, 1.1, 1.6,
+               {">> 1 (p2p minimal)", 3, HUGE_VAL})};
+}
+
+/// One bar of a dimension figure, normalised to the baseline value.
+struct Bar {
+  double speedup, energy, node;  // node = power split total
+  core::DseEngine::PowerSplit power;
+};
+/// A dimension figure's 64-core bars, by (app, value).
+using Bars = std::map<std::pair<std::string, std::string>, Bar>;
+
+/// fn(app) = `field` of app's bar at `value`.
+AppFn of(const Bars& bars, const std::string& value, double Bar::*field) {
+  return [&bars, value, field](const char* a) {
+    return bars.at({a, value}).*field;
+  };
+}
+
+/// Prints the paper's three panels for one swept dimension, normalised to
+/// its first value, per core count:
+///   (a) speed-up vs the baseline value (time_base / time),
+///   (b) power split (Core+L1 / L2+L3 / Memory) normalised to baseline total,
+///   (c) energy-to-solution normalised to baseline.
+Bars print_dimension_figure(Figures& f, const std::string& fig,
+                            const std::string& dimension,
+                            const std::vector<std::string>& values) {
+  const std::string& base = values.front();
+  std::vector<std::string> head = {"app"}, phead = {"app", "component"};
+  head.insert(head.end(), values.begin(), values.end());
+  phead.insert(phead.end(), values.begin(), values.end());
+  Bars bars;  // the 64-core panel prints last, so its bars are the ones kept
+  for (int cores : {32, 64}) {
+    std::printf("--- %d cores x 256 ranks ---\n\n", cores);
+    TextTable sp(head), en(head), pw(phead);
+    for (const auto& app : apps::registry()) {
+      sp.row().cell(app.name);
+      en.row().cell(app.name);
+      for (const auto& v : values) {
+        const auto ratio = [&](const core::Metric& metric) {
+          return f.dse
+              .normalized_ratio(app.name, cores, dimension, v, base, metric)
+              .mean;
+        };
+        Bar& b = bars[{app.name, v}];
+        const double t = ratio(core::metrics::region_time);
+        b.speedup = t > 0 ? 1.0 / t : 0.0;
+        b.energy = ratio(core::metrics::region_energy);
+        b.power = f.dse.power_split(app.name, cores, dimension, v, base);
+        b.node = b.power.core_l1 + b.power.l2_l3 + b.power.dram;
+        sp.cell(b.speedup, 2);
+        en.cell(b.energy, 2);
+      }
+      const char* comp[3] = {"Core+L1", "L2+L3", "Memory"};
+      for (int c = 0; c < 3; ++c) {
+        pw.row().cell(c == 0 ? app.name : "").cell(comp[c]);
+        for (const auto& v : values) {
+          const auto& s = bars[{app.name, v}].power;
+          pw.cell(c == 0 ? s.core_l1 : c == 1 ? s.l2_l3 : s.dram, 2);
+        }
+      }
+    }
+    const std::string name = fig + "_" + std::to_string(cores) + "c_";
+    std::printf("(a) speed-up, normalised to %s:\n%s\n", base.c_str(),
+                f.table(name + "speedup", sp).c_str());
+    std::printf("(b) power split, normalised to %s total:\n%s\n",
+                base.c_str(), f.table(name + "power", pw).c_str());
+    std::printf("(c) energy-to-solution, normalised to %s:\n%s\n",
+                base.c_str(), f.table(name + "energy", en).c_str());
+  }
+  return bars;
+}
+
+std::vector<Claim> fig5(Figures& f) {
+  std::printf("Fig. 5: FPU vector width sweep (normalised to 128-bit)\n\n");
+  const Bars bars =
+      print_dimension_figure(f, "fig5", "vector", {"128b", "256b", "512b"});
+  const AppFn sp = of(bars, "512b", &Bar::speedup);
+  const AppFn en = of(bars, "256b", &Bar::energy);
+  const auto core_l1 = [&](const char* a) {
+    return bars.at({a, "512b"}).power.core_l1 /
+           bars.at({a, "128b"}).power.core_l1;
+  };
+  const std::vector<double> lulesh_energy = {
+      of(bars, "512b", &Bar::energy)("lulesh"), en("lulesh"), 1.0};
+  return {
+      band("512b speed-up, min but lulesh", min_of(sp, "lulesh"), 1.15, 1.6,
+           1.2),
+      band("spmz 512b speed-up", sp("spmz"), 1.9, 2.2, 1.75),
+      band("spmz 512b over the next best", sp("spmz") / max_of(sp, "spmz"),
+           1.2, 1.6, "largest"),
+      band("lulesh 512b speed-up", sp("lulesh"), 0.95, 1.05, 1.0),
+      descending("lulesh energy", {"512b", "256b", "128b"}, lulesh_energy),
+      band("Core+L1 power 512b/128b, mean", mean_of(core_l1), 1.45, 1.9, 1.6),
+      band("256b energy, min but lulesh", min_of(en, "lulesh"), 0.7, 0.9,
+           0.82),
+      band("256b energy, max but lulesh", max_of(en, "lulesh"), 1, 1.15, 0.97),
+  };
+}
+
+std::vector<Claim> fig6(Figures& f) {
+  std::printf("Fig. 6: cache size sweep (normalised to 32M:256K)\n\n");
+  const std::vector<std::string> size = {"32M:256K", "64M:512K", "96M:1M"};
+  const Bars bars = print_dimension_figure(f, "fig6", "cache", size);
+  const AppFn s64 = of(bars, size[1], &Bar::speedup);
+  const AppFn s96 = of(bars, size[2], &Bar::speedup);
+  const core::Metric l2([](const core::SimResult& r) { return r.mpki_l2; });
+  const double hydro_l2 =
+      f.dse.normalized_ratio("hydro", 64, "cache", size[1], size[0], l2).mean;
+  std::vector<Claim> claims = {
+      band("hydro 64M:512K speed-up", s64("hydro"), 1.15, 1.45, 1.21),
+      band("hydro L2 MPKI 64M:512K/32M:256K", hydro_l2, 0.03, 0.1, 0.25),
+      band("spec3d 64M:512K speed-up", s64("spec3d"), 0.95, 1.05, 1.0),
+      band("spec3d 96M:1M speed-up", s96("spec3d"), 0.95, 1.05, 1.0),
+      band("96M:1M speed-up, mean", mean_of(s96), 1.08, 1.2, 1.11),
+      band("64M:512K energy, mean", mean_of(of(bars, size[1], &Bar::energy)),
+           0.93, 1.0, 0.95),
+      band("96M:1M energy, mean", mean_of(of(bars, size[2], &Bar::energy)),
+           0.98, 1.05, 0.99),
+  };
+  const double paper[] = {0.05, 0.1, 0.2}, lo[] = {0.03, 0.07, 0.1},
+               hi[] = {0.08, 0.13, 0.19};
+  for (int i = 0; i < 3; ++i) {
+    const auto share = [&](const char* a) {
+      return bars.at({a, size[i]}).power.l2_l3 / bars.at({a, size[i]}).node;
+    };
+    claims.push_back(band("L2+L3 share of node power " + size[i] + ", mean",
+                          mean_of(share), lo[i], hi[i], paper[i]));
+  }
+  return claims;
+}
+
+std::vector<Claim> fig7(Figures& f) {
+  std::printf(
+      "Fig. 7: core OoO capability sweep (normalised to aggressive)\n\n");
+  const Bars bars = print_dimension_figure(
+      f, "fig7", "core", {"aggressive", "lowend", "high", "medium"});
+  const AppFn low = of(bars, "lowend", &Bar::speedup);
+  const AppFn low_en = of(bars, "lowend", &Bar::energy);
+  const auto mean_at = [&](const char* core, double Bar::*field) {
+    return mean_of(of(bars, core, field));
+  };
+  const double high_medium_power =
+      (mean_at("high", &Bar::node) + mean_at("medium", &Bar::node)) / 2;
+  const std::vector<double> energy = {1.0, mean_of(low_en),
+                                      mean_at("high", &Bar::energy),
+                                      mean_at("medium", &Bar::energy)};
+  return {
+      band("low-end speed-up, mean", mean_of(low), 0.55, 0.72, 0.65),
+      band("low-end speed-up, max", max_of(low), 0.7, 0.9, "< 1"),
+      band("high speed-up, min", min_of(of(bars, "high", &Bar::speedup)),
+           0.88, 1.0, 0.95),
+      band("medium speed-up, min", min_of(of(bars, "medium", &Bar::speedup)),
+           0.85, 0.93, 0.95),
+      band("spec3d low-end speed-up over the min other",
+           low("spec3d") / min_of(low, "spec3d"), 1.1, 1.4, 0.62),
+      band("low-end node power, mean", mean_at("lowend", &Bar::node), 0.53,
+           0.67, 0.5),
+      band("high/medium node power, mean", high_medium_power, 0.78, 0.9,
+           0.81),
+      descending("energy, mean", {"aggressive", "lowend", "high", "medium"},
+                 energy),
+      band("lulesh low-end energy over the min other",
+           low_en("lulesh") / min_of(low_en, "lulesh"), 0.8, 0.97, "lowest"),
+  };
+}
+
+std::vector<Claim> fig8(Figures& f) {
+  std::printf("Fig. 8: memory channel sweep (normalised to 4 channels)\n\n");
+  const std::vector<std::string> ch = {"4ch-DDR4-2333", "8ch-DDR4-2333"};
+  const Bars bars = print_dimension_figure(f, "fig8", "channels", ch);
+  const AppFn sp = of(bars, ch[1], &Bar::speedup);
+  const AppFn en = of(bars, ch[1], &Bar::energy);
+  const AppFn pw = of(bars, ch[1], &Bar::node);
+  const auto dram = [&](const char* a) {
+    return bars.at({a, ch[1]}).power.dram / bars.at({a, ch[0]}).power.dram;
+  };
+  return {
+      band("lulesh 8ch speed-up", sp("lulesh"), 1.25, 1.55, 1.6),
+      band("8ch speed-up, max but lulesh", max_of(sp, "lulesh"), 0.98, 1.1,
+           1.0),
+      band("lulesh 8ch energy", en("lulesh"), 0.75, 0.92, 0.7),
+      band("8ch energy, min but lulesh", min_of(en, "lulesh"), 1, 1.15, "> 1"),
+      band("8ch DRAM power over 4ch, mean", mean_of(dram), 1.6, 1.9, 2.0),
+      band("8ch node power, max but lulesh", max_of(pw, "lulesh"), 1.02,
+           1.15, 1.1),
+      band("lulesh 8ch node power", pw("lulesh"), 1.12, 1.3, 1.1),
+  };
+}
+
+std::vector<Claim> fig9(Figures& f) {
+  std::printf("Fig. 9: frequency sweep (normalised to 1.5 GHz)\n\n");
+  const Bars bars = print_dimension_figure(
+      f, "fig9", "freq", {"1.5GHz", "2.0GHz", "2.5GHz", "3.0GHz"});
+  const AppFn s3 = of(bars, "3.0GHz", &Bar::speedup);
+  const double hydro_s25 = of(bars, "2.5GHz", &Bar::speedup)("hydro");
+  return {
+      band("btmz 3.0GHz speed-up", s3("btmz"), 1.8, 2.0, 2.0),
+      band("hydro/btmz 3.0GHz speed-up", s3("hydro") / s3("btmz"), 0.8, 0.97,
+           "hydro flattens"),
+      band("hydro 3.0GHz/2.5GHz speed-up", s3("hydro") / hydro_s25, 1.0, 1.15,
+           "flat above 2.5GHz"),
+      band("3.0GHz speed-up, min of spmz/spec3d",
+           std::min(s3("spmz"), s3("spec3d")), 1.45, 1.75, 2.0),
+      band("lulesh 3.0GHz speed-up", s3("lulesh"), 1.0, 1.15, 2.0),
+      band("3.0GHz node power, mean", mean_of(of(bars, "3.0GHz", &Bar::node)),
+           1.5, 2.0, 2.5),
+  };
+}
+
+std::vector<Claim> fig10(Figures& f) {
+  std::printf("Fig. 10: PCA of architectural parameters vs execution time\n");
+  std::printf("(64-core, 2 GHz simulations; 72 observations per app)\n\n");
+  std::vector<Claim> claims;
+  for (const std::string app : {"hydro", "lulesh"}) {
+    std::vector<std::vector<double>> obs;
+    for (const auto& r : f.dse.results()) {
+      if (r.app != app || r.config.cores != 64 || r.config.freq_ghz != 2.0)
+        continue;
+      core::MachineConfig c;
+      c.cache_label = r.config.cache_label;
+      obs.push_back({r.config.core.ooo_capability(),
+                     static_cast<double>(r.config.mem_channels),
+                     static_cast<double>(r.config.vector_bits),
+                     static_cast<double>(c.cache_config(1).l3.size_bytes),
+                     r.region_seconds});
+    }
+    const analysis::PcaResult p = analysis::pca(
+        obs, {"OoO struct.", "Mem. BW", "FPU", "Cache size", "Exec. time"});
+
+    std::printf("--- %s (%zu observations) ---\n", app.c_str(), obs.size());
+    TextTable t({"variable", "PC0 loading", "PC1 loading"});
+    for (std::size_t v = 0; v < p.variables.size(); ++v) {
+      t.row().cell(p.variables[v]).cell(p.components[0][v], 3);
+      t.cell(p.components[1][v], 3);
+    }
+    std::printf("%s", f.table("fig10_" + app, t).c_str());
+    std::printf("PC0 explains %.2f%% variance, PC1 explains %.2f%%\n\n",
+                100 * p.explained_variance[0], 100 * p.explained_variance[1]);
+
+    // An eigenvector's sign is arbitrary: claim magnitudes and the sign of a
+    // product of two loadings, never the sign of one loading.
+    const std::vector<double>& pc0 = p.components[0];
+    const auto mag = [&](std::size_t v) { return std::abs(pc0[v]); };
+    const std::size_t v = app == "hydro" ? 0 : 1;  // OoO or Mem. BW
+    const std::string pair = app + " PC0 " + p.variables[v] + " x time";
+    claims.push_back(band(pair, pc0[v] * pc0[4], -0.6, -0.3, "opposite"));
+    claims.push_back(band(pair + ", min magnitude", std::min(mag(v), mag(4)),
+                          0.5, 0.75, "major"));
+    if (app == "hydro") {
+      claims.push_back(band("hydro PC0 variance, %",
+                            100 * p.explained_variance[0], 33, 42, 42.6));
+    } else {
+      claims.push_back(band("lulesh PC0 |FPU|", mag(2), 0, 0.05, 0.0));
+      claims.push_back(band("lulesh PC0 |Cache|", mag(3), 0.1, 0.4, "some"));
+      claims.push_back(band("lulesh PC0 |OoO|", mag(0), 0.15, 0.4, 0.0));
+    }
+  }
+  return claims;
+}
+
+std::vector<Claim> fig11(Figures& f) {
+  std::printf("Table II / Fig. 11: application-specific configurations\n\n");
+  std::map<std::string, std::array<double, 3>> m;  // perf, power, energy
+  for (const std::string name : {"spmz", "lulesh"}) {
+    const auto rows = core::ConfigSpace::unconventional(name);
+    std::printf("--- %s ---\n", name.c_str());
+    TextTable cfg({"Label", "Core OoO", "FP Unit", "Cache(L3:L2)", "Memory"});
+    for (const auto& [label, c] : rows) {
+      cfg.row().cell(label).cell(c.core.label);
+      cfg.cell(std::to_string(c.vector_bits) + "-bit").cell(c.cache_label);
+      cfg.cell(std::to_string(c.mem_channels) + "-ch " +
+               dramsim::mem_tech_name(c.mem_tech));
+    }
+    std::printf("%s\n", f.table("fig11_" + name + "_configs", cfg).c_str());
+
+    core::SimResult base;
+    TextTable t({"Label", "Performance", "Power", "Energy"});
+    for (const auto& [label, config] : rows) {
+      const core::SimResult r = f.pipeline.run(apps::find_app(name), config);
+      if (label == rows.front().first) base = r;
+      const double energy = (r.node_w * r.region_seconds) /
+                            (base.node_w * base.region_seconds);
+      m[label] = {base.region_seconds / r.region_seconds,
+                  r.dram_power_known ? r.node_w / base.node_w : NAN,
+                  r.dram_power_known ? energy : NAN};
+      t.row().cell(label).cell(m[label][0], 2);
+      if (r.dram_power_known)
+        t.cell(m[label][1], 2).cell(energy, 2);
+      else
+        t.cell("n/a (HBM)").cell("n/a (HBM)");
+    }
+    std::printf("%s\n", f.table("fig11_" + name, t).c_str());
+  }
+  return {
+      band("Vector+ performance", m["Vector+"][0], 0.85, 1.0, 1.13),
+      band("Vector+ power", m["Vector+"][1], 0.9, 1.1, "similar"),
+      band("Vector++ performance", m["Vector++"][0], 0.85, 1.05, 1.43),
+      band("Vector++ power", m["Vector++"][1], 1.3, 1.7, 3.14),
+      band("Vector++ energy", m["Vector++"][2], 1.4, 1.8, 2.5),
+      descending("power", {"Vector++", "Vector+"},
+                 {m["Vector++"][1], m["Vector+"][1]}, {3.14, 1.0}),
+      band("MEM+ performance", m["MEM+"][0], 0.9, 1.05, 1.07),
+      band("MEM+ energy", m["MEM+"][2], 0.7, 0.85, 0.53),
+      band("MEM++ performance", m["MEM++"][0], 1.2, 1.4, 1.3),
+      band("MEM++ energy known (1 = yes)", !std::isnan(m["MEM++"][2]), 0, 0,
+           "no HBM data"),
+  };
+}
+
+struct Figure {
+  const char* name;
+  std::vector<Claim> (*run)(Figures&);
+};
+constexpr Figure kFigures[] = {
+    {"table1", table1}, {"fig1", fig1}, {"fig2", fig2},   {"fig3", fig3},
+    {"fig4", fig4},     {"fig5", fig5}, {"fig6", fig6},   {"fig7", fig7},
+    {"fig8", fig8},     {"fig9", fig9}, {"fig10", fig10}, {"fig11", fig11}};
+
+/// Replaces the body of each `<!-- dse_figures NAME -->` ...
+/// `<!-- /dse_figures -->` block of `path` with blocks[NAME].
+void rewrite_blocks(const std::string& path,
+                    const std::map<std::string, std::string>& blocks) {
+  FileStamp stamp;
+  std::string doc = read_file_from(path, 0, &stamp);
+  for (const auto& [name, body] : blocks) {
+    const std::string open = "<!-- dse_figures " + name + " -->\n";
+    const std::size_t begin = doc.find(open);
+    const std::size_t end = doc.find("<!-- /dse_figures -->", begin);
+    if (!stamp.exists || begin == std::string::npos ||
+        end == std::string::npos)
+      throw std::runtime_error(path + " has no dse_figures block for " + name);
+    doc.replace(begin + open.size(), end - begin - open.size(), body);
+  }
+  atomic_write_file(path, doc);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Figures f;
+  std::string experiments;
+  std::vector<const Figure*> figures;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const Figure* fig = std::ranges::find(kFigures, arg, &Figure::name);
+    if ((arg == "--csv" || arg == "--experiments") && i + 1 < argc) {
+      (arg == "--csv" ? f.csv_dir : experiments) = argv[++i];
+    } else if (fig != std::end(kFigures)) {
+      figures.push_back(fig);
+    } else {
+      std::fprintf(stderr,
+                   "usage: dse_figures [table1|fig1|...|fig11 ...] "
+                   "[--csv DIR] [--experiments FILE]\n");
+      return 2;
+    }
+  }
+  if (figures.empty())
+    for (const Figure& fig : kFigures) figures.push_back(&fig);
+
+  try {
+    if (!f.csv_dir.empty()) std::filesystem::create_directories(f.csv_dir);
+    std::vector<std::vector<Claim>> claims;
+    for (const Figure* fig : figures) claims.push_back(fig->run(f));
+
+    int deviations = 0, failed = 0, total = 0;
+    std::map<std::string, std::string> blocks;  // markdown claims tables
+    std::printf("=== claims ===\n");
+    for (std::size_t i = 0; i < figures.size(); ++i) {
+      const std::string name = figures[i]->name;
+      TextTable t({"claim", "measured", "band", "paper", "status"});
+      for (const Claim& c : claims[i]) {
+        t.row().cell(c.what).cell(c.measured).cell(c.band).cell(c.paper);
+        t.cell(c.status());
+        deviations += c.holds && c.deviation;
+        failed += !c.holds;
+        ++total;
+      }
+      const auto line = [](const std::vector<std::string>& cells) {
+        std::string md = "|";
+        for (const auto& c : cells) md += " " + c + " |";
+        return md + "\n";
+      };
+      blocks[name] = line(t.header()) + "|---|---|---|---|---|\n";
+      for (const auto& row : t.rows()) blocks[name] += line(row);
+      std::printf("\n%s:\n%s", name.c_str(),
+                  f.table(name + "_claims", t).c_str());
+    }
+    std::printf("\n%d claims: %d ok, %d deviations, %d failed\n", total,
+                total - deviations - failed, deviations, failed);
+    if (!experiments.empty()) rewrite_blocks(experiments, blocks);
+    return failed > 0 ? 1 : 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "dse_figures: %s\n", e.what());
+    return 2;
+  }
+}

@@ -1,6 +1,6 @@
-// Shared plumbing for the figure-reproduction benches: DSE cache location
-// and the three-panel (speedup / power split / energy) printer used by
-// Figs 5–9, which all sweep one architectural dimension.
+// Shared plumbing for the bench drivers (run_dse, sweep_bench, dse_lint,
+// dse_loadtest, dse_report, dse_figures): the DSE cache location and the
+// fixed 24-point bench sweep.
 #pragma once
 
 #include <cstdio>
@@ -15,7 +15,7 @@
 
 namespace musa::bench {
 
-/// DSE result cache shared by all figure benches (override with
+/// DSE result cache shared by all bench drivers (override with
 /// MUSA_DSE_CACHE; the sweep runs once and is reused afterwards).
 inline std::string dse_cache_path() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at bench startup,
@@ -43,57 +43,5 @@ inline std::vector<core::MachineConfig> bench_space() {
 }
 
 inline const char* bench_app() { return "hydro"; }
-
-/// Prints the paper's three panels for one swept dimension:
-///   (a) speed-up vs the baseline value (time_base / time),
-///   (b) power split (Core+L1 / L2+L3 / Memory) normalised to baseline total,
-///   (c) energy-to-solution normalised to baseline.
-inline void print_dimension_figure(core::DseEngine& dse,
-                                   const std::string& dimension,
-                                   const std::vector<std::string>& values,
-                                   const std::string& baseline) {
-  for (int cores : {32, 64}) {
-    std::printf("--- %d cores x 256 ranks ---\n\n", cores);
-
-    std::vector<std::string> head = {"app"};
-    for (const auto& v : values) head.push_back(v);
-    TextTable sp(head), en(head);
-    for (const auto& app : apps::registry()) {
-      sp.row().cell(app.name);
-      en.row().cell(app.name);
-      for (const auto& v : values) {
-        const core::NormStat t = dse.normalized_ratio(
-            app.name, cores, dimension, v, baseline, core::metrics::region_time);
-        const core::NormStat e =
-            dse.normalized_ratio(app.name, cores, dimension, v, baseline,
-                                 core::metrics::region_energy);
-        sp.cell(t.mean > 0 ? 1.0 / t.mean : 0.0, 2);
-        en.cell(e.mean, 2);
-      }
-    }
-    std::printf("(a) speed-up, normalised to %s:\n%s\n", baseline.c_str(),
-                sp.str().c_str());
-
-    std::vector<std::string> phead = {"app", "component"};
-    for (const auto& v : values) phead.push_back(v);
-    TextTable pw(phead);
-    for (const auto& app : apps::registry()) {
-      const char* comp[3] = {"Core+L1", "L2+L3", "Memory"};
-      std::vector<core::DseEngine::PowerSplit> splits;
-      for (const auto& v : values)
-        splits.push_back(
-            dse.power_split(app.name, cores, dimension, v, baseline));
-      for (int c = 0; c < 3; ++c) {
-        pw.row().cell(c == 0 ? app.name : "").cell(comp[c]);
-        for (const auto& s : splits)
-          pw.cell(c == 0 ? s.core_l1 : c == 1 ? s.l2_l3 : s.dram, 2);
-      }
-    }
-    std::printf("(b) power split, normalised to %s total:\n%s\n",
-                baseline.c_str(), pw.str().c_str());
-    std::printf("(c) energy-to-solution, normalised to %s:\n%s\n",
-                baseline.c_str(), en.str().c_str());
-  }
-}
 
 }  // namespace musa::bench

@@ -1,5 +1,5 @@
 // Runs (or resumes) the full 864-configuration × 5-application design space
-// sweep and writes the shared result cache consumed by the figure benches.
+// sweep and writes the shared result cache that dse_figures reads.
 //
 // The sweep is crash-safe: every completed point is fsync'd to an
 // append-only journal next to the cache, so a killed run resumes exactly

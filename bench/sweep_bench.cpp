@@ -25,7 +25,10 @@
 // With --check-regression, the memo run's points_per_s and kernel_s are
 // compared against the named baseline (a previously committed
 // BENCH_sweep.json): a >10% regression on either exits nonzero, so a CI
-// leg can catch replay-path slowdowns as a number, not a feeling.
+// leg can catch replay-path slowdowns as a number, not a feeling. kernel_s
+// is busy time summed over the sweep's threads, so the fresh memo run must
+// use the baseline's thread count (set MUSA_THREADS); a mismatch exits
+// nonzero without comparing.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fsio.hpp"
 #include "core/dse.hpp"
 #include "fig_common.hpp"
 #include "obs/span.hpp"
@@ -205,19 +209,13 @@ void json_elastic(std::FILE* f, const ElasticRun& r, int workers,
                occupancy, r.report.respawns, r.report.revocations);
 }
 
-/// Pulls `points_per_s` and `stages.kernel_s` of the "memo" run out of a
-/// BENCH_sweep.json written by this program. Plain string scanning — the
+/// Pulls `points_per_s`, `workers` and `stages.kernel_s` of the "memo" run
+/// out of a BENCH_sweep.json written by this program. Plain string scanning — the
 /// format is our own, flat, and covered by the identity checks above; a
 /// JSON library for two numbers would be a dependency for nothing.
 bool parse_baseline(const std::string& path, double& points_per_s,
-                    double& kernel_s) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
+                    double& workers, double& kernel_s) {
+  const std::string text = musa::read_file_from(path, 0);  // "" if missing
   // "no_memo" precedes "memo" but does not contain the quoted key.
   const std::size_t memo = text.find("\"memo\": {");
   if (memo == std::string::npos) return false;
@@ -228,7 +226,8 @@ bool parse_baseline(const std::string& path, double& points_per_s,
     out = std::strtod(text.c_str() + p + needle.size(), nullptr);
     return true;
   };
-  return field("points_per_s", points_per_s) && field("kernel_s", kernel_s);
+  return field("points_per_s", points_per_s) && field("workers", workers) &&
+         field("kernel_s", kernel_s);
 }
 
 /// The "serve" entry is owned by dse_loadtest, which merges it into this
@@ -263,9 +262,9 @@ int main(int argc, char** argv) {
       out_path = argv[i];
     }
   }
-  double base_pps = 0.0, base_kernel_s = 0.0;
+  double base_pps = 0.0, base_workers = 0.0, base_kernel_s = 0.0;
   if (!baseline_path.empty() &&
-      !parse_baseline(baseline_path, base_pps, base_kernel_s)) {
+      !parse_baseline(baseline_path, base_pps, base_workers, base_kernel_s)) {
     std::fprintf(stderr, "cannot parse baseline %s\n", baseline_path.c_str());
     return 1;
   }
@@ -371,6 +370,16 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!baseline_path.empty()) {
+    if (memo.report.workers != static_cast<int>(base_workers)) {
+      std::fprintf(stderr,
+                   "FAIL: the memo run used %d threads but %s was recorded "
+                   "with %d; kernel_s sums busy time over threads, so the "
+                   "two do not compare. Rerun with MUSA_THREADS=%d.\n",
+                   memo.report.workers, baseline_path.c_str(),
+                   static_cast<int>(base_workers),
+                   static_cast<int>(base_workers));
+      return 1;
+    }
     const double new_pps =
         memo.wall_s > 0
             ? static_cast<double>(memo.report.computed) / memo.wall_s

@@ -26,6 +26,9 @@ class TextTable {
 
   std::string str() const;
 
+  const std::vector<std::string>& header() const { return header_; }
+  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
+
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
