@@ -11,6 +11,11 @@ endfunction()
 musa_add_bench(run_dse)
 musa_add_bench(dse_lint)
 musa_add_bench(sweep_bench)
+# A mistyped flag or a baseline named as the output exits 2 before the
+# bench runs, instead of becoming (or overwriting) the output file.
+add_test(NAME sweep_bench.usage
+  COMMAND sh -c "\"$0\" --no-such-flag; [ $? -eq 2 ] || exit 1; \"$0\" --check-regression base.json ./base.json; [ $? -eq 2 ]"
+          $<TARGET_FILE:sweep_bench>)
 # The sweep drivers speak to the elastic controller/worker library too.
 target_link_libraries(run_dse PRIVATE musa_sweep)
 target_link_libraries(sweep_bench PRIVATE musa_sweep)

@@ -100,6 +100,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Handlers first: a TERM that lands while start() binds the listeners
+  // must still end in a clean stop, not the default kill.
+  std::signal(SIGINT, on_signal);
+  std::signal(SIGTERM, on_signal);
   musa::serve::DseServer server(opts);
   try {
     server.start();
@@ -116,8 +120,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(server.fingerprint()));
   std::fflush(stdout);
 
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
   // Poll rather than block: the signal handler only flips an atomic, which
   // is all it can safely do.
   while (!g_signalled.load() && !server.stopping())

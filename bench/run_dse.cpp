@@ -40,7 +40,7 @@
 //                  --strict, needs a cache path. Without it (or with N=1)
 //                  the sweep runs in-process
 //   --lease-points K  points per leased chunk (default 8)
-//   --heartbeat-ms MS worker heartbeat interval (default 250)
+//   --heartbeat-ms MS interval of the controller's worker pings (default 250)
 //   --straggler-factor F  revoke leases older than F x the median
 //                  committed-chunk time (default 4)
 //   --no-verify    skip config lint and result-invariant enforcement
@@ -104,7 +104,8 @@ constexpr const char* kUsage =
     "                  needs a cache path. Without it (or with N=1) the\n"
     "                  sweep runs in-process\n"
     "  --lease-points K   points per leased chunk (default 8)\n"
-    "  --heartbeat-ms MS  worker heartbeat interval (default 250)\n"
+    "  --heartbeat-ms MS  interval of the controller's worker pings; a worker\n"
+    "                  silent for 8 intervals is killed (default 250)\n"
     "  --straggler-factor F  revoke leases older than F x the median\n"
     "                  committed-chunk time (default 4)\n"
     "  --no-verify     skip config lint and result-invariant enforcement\n"

@@ -20,7 +20,8 @@
 // (DESIGN.md §7f).
 //
 // Usage: sweep_bench [--check-regression BASELINE.json] [output.json]
-//   (output defaults to BENCH_sweep.json)
+//   (output defaults to BENCH_sweep.json; any other argument prints the
+//   usage and exits 2)
 //
 // With --check-regression, the memo run's points_per_s and kernel_s are
 // compared against the named baseline (a previously committed
@@ -28,11 +29,13 @@
 // leg can catch replay-path slowdowns as a number, not a feeling. kernel_s
 // is busy time summed over the sweep's threads, so the fresh memo run must
 // use the baseline's thread count (set MUSA_THREADS); a mismatch exits
-// nonzero without comparing.
+// nonzero without comparing. The fresh run is never written over the
+// baseline: naming the same file for both exits 2 before anything runs.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -253,13 +256,39 @@ std::string read_serve_entry(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: sweep_bench [--check-regression BASELINE.json] [output.json]\n"
+      "  output defaults to BENCH_sweep.json and must not be BASELINE.json\n";
   std::string out_path = "BENCH_sweep.json";
   std::string baseline_path;
+  bool out_given = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check-regression") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
-    } else {
+    } else if (std::strcmp(argv[i], "--help") == 0) {
+      std::printf("%s", kUsage);
+      return 0;
+    } else if (argv[i][0] != '-' && !out_given) {
       out_path = argv[i];
+      out_given = true;
+    } else {
+      std::fprintf(stderr, "sweep_bench: unexpected argument '%s'\n%s",
+                   argv[i], kUsage);
+      return 2;
+    }
+  }
+  if (!baseline_path.empty()) {
+    std::error_code ec;
+    const auto canon = [&ec](const std::string& path) {
+      return std::filesystem::weakly_canonical(
+          std::filesystem::absolute(path, ec), ec);
+    };
+    if (canon(baseline_path) == canon(out_path)) {
+      std::fprintf(stderr,
+                   "sweep_bench: the fresh run would overwrite the baseline "
+                   "%s; name another output file\n%s",
+                   baseline_path.c_str(), kUsage);
+      return 2;
     }
   }
   double base_pps = 0.0, base_workers = 0.0, base_kernel_s = 0.0;

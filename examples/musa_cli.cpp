@@ -1,7 +1,7 @@
 // Command-line driver: run any (application, machine) point through the
 // full multiscale pipeline from flags, printing a table or JSON.
 //
-//   musa_cli --app lulesh --cores 64 --freq 2.5 --vec 512 \
+//   musa_cli --app lulesh --cores 64 --freq 2.5 --vec 512
 //            --cache 96M:1M --channels 8 --tech DDR4-2333 --ranks 256 [--json]
 #include <cstdio>
 #include <cstring>

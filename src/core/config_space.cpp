@@ -67,9 +67,9 @@ MachineConfig MachineConfig::parse_id(const std::string& id) {
     }
   }
   fields.push_back(cur);
-  if (fields.size() != 6)
-    throw SimError("config id \"" + id + "\" must have 6 |-separated fields "
-                   "(core|cache|freq|vector|channels-tech|cores)");
+  if (fields.size() != 6 && fields.size() != 7)
+    throw SimError("config id \"" + id + "\" must have 6 or 7 |-separated "
+                   "fields (core|cache|freq|vector|channels-tech|cores[|ranks])");
 
   MachineConfig c;
   c.core = core_by_label(fields[0]);
@@ -107,7 +107,8 @@ MachineConfig MachineConfig::parse_id(const std::string& id) {
     throw SimError("config id: unknown memory tech \"" + tech + "\"");
 
   c.cores = suffixed_int(fields[5], "c", "core count");
-  return c;  // ranks stay at the default: the id does not carry them
+  if (fields.size() == 7) c.ranks = suffixed_int(fields[6], "r", "rank count");
+  return c;
 }
 
 cachesim::HierarchyConfig MachineConfig::cache_config(int num_cores) const {
@@ -117,7 +118,15 @@ cachesim::HierarchyConfig MachineConfig::cache_config(int num_cores) const {
   throw SimError("unknown cache label: " + cache_label);
 }
 
-std::string MachineConfig::id() const { return dim_string(*this, ""); }
+std::string MachineConfig::id() const {
+  std::string out = dim_string(*this, "");
+  if (ranks != 256) {
+    out += '|';
+    out += std::to_string(ranks);
+    out += 'r';
+  }
+  return out;
+}
 
 std::string MachineConfig::id_without(const std::string& dimension) const {
   return dim_string(*this, dimension);

@@ -30,6 +30,9 @@ struct MachineConfig {
   cachesim::HierarchyConfig cache_config(int num_cores) const;
 
   /// Unique identifier, e.g. "medium|32M:256K|2.0GHz|128b|4ch-DDR4-2333|32c".
+  /// Ranks other than 256 append a seventh field ("|4r"); 256, the only
+  /// rank count of the paper and extended grids, keeps the six-field form
+  /// every committed cache key uses.
   std::string id() const;
 
   /// The key used to find a config's normalisation partner: the id with the
@@ -37,8 +40,8 @@ struct MachineConfig {
   /// channels, cores}).
   std::string id_without(const std::string& dimension) const;
 
-  /// Inverse of id(): parses "core|cache|F.FGHz|Nb|Nch-TECH|Nc" back into a
-  /// config (ranks, which the id does not carry, defaults to 256). Throws
+  /// Inverse of id(): parses "core|cache|F.FGHz|Nb|Nch-TECH|Nc[|Nr]" back
+  /// into a config (ranks default to 256 without the seventh field). Throws
   /// SimError naming the broken field; `dse_lint --explain` uses this to
   /// lint a point given on the command line.
   static MachineConfig parse_id(const std::string& id);

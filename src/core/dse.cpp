@@ -335,121 +335,40 @@ SweepReport DseEngine::sweep(bool force) {
     return rep;
   }
 
-  std::vector<std::pair<std::string, std::vector<std::string>>> salvage;
-  std::size_t cache_invalid = 0;
-  if (CsvDoc::file_exists(cache_path_) &&
-      load_cache(plan, &salvage, &cache_invalid)) {
-    // A crash between cache finalize and journal cleanup can leave stale
-    // journals behind; the complete cache supersedes them.
-    for (const auto& path : find_journals(cache_path_))
-      std::remove(path.c_str());
+  ResumeState state = resume(plan);
+  rep.dropped = state.dropped;
+  rep.invalid = state.invalid;
+  if (!state.journal) {
     ready_ = true;
     rep.resumed = rep.total;
     rep.finalized = true;
     report_ = rep;
     return rep;
   }
-
-  rep.invalid += cache_invalid;
-
-  // Resume state: the engine's journal, seeded with whatever a partial
-  // cache could contribute, plus read-only views of sibling journals.
-  ResultJournal journal(cache_path_ + ".journal", csv_header());
-  rep.dropped += journal.dropped_on_load();
-  if (options_.verbose && journal.dropped_on_load() > 0)
-    std::fprintf(stderr,
-                 "[dse] journal %s: dropped %zu corrupt record(s) from a "
-                 "previous crash\n",
-                 journal.path().c_str(), journal.dropped_on_load());
-  for (const auto& [key, row] : salvage)
-    if (!journal.contains(key)) journal.append(key, row);
-
+  ResultJournal& journal = *state.journal;
   verify::arm_journal_corruption(journal);
 
-  const auto merge_siblings = [&](ResultJournal::Entries& known,
-                                  ResultJournal::Fails& fails) {
-    for (const auto& path : find_journals(cache_path_)) {
-      if (path == journal.path()) continue;
-      ResultJournal::LoadResult lr = ResultJournal::read(path, csv_header());
-      if (lr.schema_mismatch) {
-        if (options_.verbose)
-          std::fprintf(stderr, "[dse] ignoring schema-mismatched journal %s\n",
-                       path.c_str());
-        continue;
-      }
-      rep.dropped += lr.dropped;
-      for (auto& [key, row] : lr.entries)
-        known.emplace(key, std::move(row));
-      for (auto& [key, fail] : lr.fails)
-        fails.emplace(key, std::move(fail));
-    }
-    // Good beats FAIL across journals too: a point one journal quarantined
-    // but a sibling later completed is not quarantined.
-    for (auto it = fails.begin(); it != fails.end();)
-      it = known.count(it->first) != 0 ? fails.erase(it) : ++it;
-  };
-
-  // Journaled rows passed their checksum, but may still predate a model fix
-  // or carry invariant-violating metrics: drop those so the points recompute
-  // (appending under the same key supersedes the bad record).
-  const auto drop_invalid = [&](ResultJournal::Entries& entries, bool count) {
-    if (!options_.verify) return;
-    for (auto it = entries.begin(); it != entries.end();) {
-      bool ok;
-      try {
-        ok = verify::check_result(from_row(it->second)).empty();
-      } catch (const SimError&) {
-        ok = false;
-      }
-      if (ok) {
-        ++it;
-      } else {
-        if (count) ++rep.invalid;
-        it = entries.erase(it);
-      }
-    }
-  };
-
-  ResultJournal::Entries known = journal.entries();
-  ResultJournal::Fails fails = journal.fails();
-  merge_siblings(known, fails);
-  drop_invalid(known, /*count=*/true);
-
-  std::vector<std::uint64_t> missing;
-  std::uint64_t skipped_quarantined = 0;
-  for (std::uint64_t i = 0; i < plan.size(); ++i) {
-    if (known.find(plan.keys[i]) != known.end()) continue;
-    // A quarantined point is "known to fail": skip it on resume so a
-    // deterministic failure is not re-simulated run after run — unless the
-    // caller explicitly asked to retry the quarantine set.
-    if (!options_.retry_failed && fails.count(plan.keys[i]) != 0) {
-      ++skipped_quarantined;
-      continue;
-    }
-    missing.push_back(i);
-  }
-  rep.resumed = rep.total - missing.size() - skipped_quarantined;
-  if (options_.verbose && skipped_quarantined > 0)
+  rep.resumed = rep.total - state.missing.size() - state.quarantined;
+  if (options_.verbose && state.quarantined > 0)
     std::fprintf(stderr,
                  "[dse] skipping %llu quarantined point(s); rerun with "
                  "--retry-failed to retry them\n",
-                 static_cast<unsigned long long>(skipped_quarantined));
+                 static_cast<unsigned long long>(state.quarantined));
   if (options_.verbose && rep.resumed > 0)
     std::fprintf(stderr,
                  "[dse] resuming: %llu of %llu points already journaled\n",
                  static_cast<unsigned long long>(rep.resumed),
                  static_cast<unsigned long long>(rep.total));
 
-  run_points(missing, &journal);
+  run_points(state.missing, &journal);
 
   // Finalize the moment cache-worthy coverage exists: cache rows are
   // emitted in plan order from the journalled strings, so an interrupted
   // (or multi-process) sweep produces a byte-identical cache to an
   // uninterrupted one.
-  known = journal.entries();
-  fails = journal.fails();
-  merge_siblings(known, fails);
-  drop_invalid(known, /*count=*/false);  // already counted before computing
+  merge_journals(journal, &state, /*count=*/false);
+  const ResultJournal::Entries& known = state.known;
+  const ResultJournal::Fails& fails = state.fails;
 
   // The quarantine set after this call, sorted for a stable report.
   rep.quarantined = fails.size();
@@ -496,6 +415,91 @@ SweepReport DseEngine::sweep(bool force) {
   }
   report_ = rep;
   return rep;
+}
+
+ResumeState DseEngine::resume(const SweepPlan& plan) {
+  ResumeState state;
+  std::vector<std::pair<std::string, std::vector<std::string>>> salvage;
+  std::size_t cache_invalid = 0;
+  if (CsvDoc::file_exists(cache_path_) &&
+      load_cache(plan, &salvage, &cache_invalid)) {
+    // A crash between cache finalize and journal cleanup can leave stale
+    // journals behind; the complete cache supersedes them.
+    for (const auto& path : find_journals(cache_path_))
+      std::remove(path.c_str());
+    return state;
+  }
+  state.invalid = cache_invalid;
+
+  state.journal =
+      std::make_unique<ResultJournal>(cache_path_ + ".journal", csv_header());
+  ResultJournal& journal = *state.journal;
+  state.dropped = journal.dropped_on_load();
+  if (options_.verbose && journal.dropped_on_load() > 0)
+    std::fprintf(stderr,
+                 "[dse] journal %s: dropped %zu corrupt record(s) from a "
+                 "previous crash\n",
+                 journal.path().c_str(), journal.dropped_on_load());
+  for (const auto& [key, row] : salvage)
+    if (!journal.contains(key)) journal.append(key, row);
+
+  merge_journals(journal, &state, /*count=*/true);
+  for (std::uint64_t i = 0; i < plan.size(); ++i) {
+    if (state.known.count(plan.keys[i]) != 0) continue;
+    // A quarantined point is "known to fail": skip it on resume so a
+    // deterministic failure is not re-simulated run after run — unless the
+    // caller explicitly asked to retry the quarantine set.
+    if (!options_.retry_failed && state.fails.count(plan.keys[i]) != 0) {
+      ++state.quarantined;
+      continue;
+    }
+    state.missing.push_back(i);
+  }
+  return state;
+}
+
+void DseEngine::merge_journals(const ResultJournal& journal,
+                               ResumeState* state, bool count) const {
+  state->known = journal.entries();
+  state->fails = journal.fails();
+  for (const auto& path : find_journals(cache_path_)) {
+    if (path == journal.path()) continue;
+    ResultJournal::LoadResult lr = ResultJournal::read(path, csv_header());
+    if (lr.schema_mismatch) {
+      if (options_.verbose && count)
+        std::fprintf(stderr, "[dse] ignoring schema-mismatched journal %s\n",
+                     path.c_str());
+      continue;
+    }
+    if (count) state->dropped += lr.dropped;
+    for (auto& [key, row] : lr.entries)
+      state->known.emplace(key, std::move(row));
+    for (auto& [key, fail] : lr.fails)
+      state->fails.emplace(key, std::move(fail));
+  }
+  // Good beats FAIL across journals too: a point one journal quarantined
+  // but a sibling later completed is not quarantined.
+  for (auto it = state->fails.begin(); it != state->fails.end();)
+    it = state->known.count(it->first) != 0 ? state->fails.erase(it) : ++it;
+
+  // Journaled rows passed their checksum, but may still predate a model fix
+  // or carry invariant-violating metrics: drop those so the points recompute
+  // (appending under the same key supersedes the bad record).
+  if (!options_.verify) return;
+  for (auto it = state->known.begin(); it != state->known.end();) {
+    bool ok;
+    try {
+      ok = verify::check_result(from_row(it->second)).empty();
+    } catch (const SimError&) {
+      ok = false;
+    }
+    if (ok) {
+      ++it;
+    } else {
+      if (count) ++state->invalid;
+      it = state->known.erase(it);
+    }
+  }
 }
 
 void DseEngine::clear_cache() {

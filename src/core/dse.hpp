@@ -18,10 +18,12 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/journal.hpp"
 #include "core/config_space.hpp"
 #include "core/pipeline.hpp"
 
@@ -199,6 +201,20 @@ struct SweepReport {
   std::vector<QuarantinePoint> quarantine;  // sorted by key
 };
 
+/// Where a sweep of a plan stands before anything computes: what the cache
+/// and every journal beside it already answer.
+struct ResumeState {
+  /// The engine journal "<cache>.journal", seeded with every row a partial
+  /// cache salvages. Null when the cache alone covers the plan exactly.
+  std::unique_ptr<ResultJournal> journal;
+  ResultJournal::Entries known;  // good rows, all journals, invariant-clean
+  ResultJournal::Fails fails;    // FAIL rows no journal has a good row for
+  std::vector<std::uint64_t> missing;  // plan indices left to compute
+  std::uint64_t quarantined = 0;  // FAIL keys skipped (not retry_failed)
+  std::uint64_t dropped = 0;      // corrupt journal records discarded
+  std::uint64_t invalid = 0;      // rows failing the result invariants
+};
+
 class DseEngine {
  public:
   /// `cache_path`: CSV file for result caching ("" disables caching and
@@ -220,6 +236,14 @@ class DseEngine {
 
   /// Deletes the cache file and every journal belonging to it.
   void clear_cache();
+
+  /// Resume state of `plan`: a complete cache fills results() and removes
+  /// stale journals; otherwise the cache's valid rows seed the engine
+  /// journal, sibling journals (elastic workers') merge in, a good row
+  /// beats a FAIL row, and invariant-violating rows are dropped so their
+  /// points compute again. sweep() computes `missing`; the elastic
+  /// controller (src/sweep) leases it.
+  ResumeState resume(const SweepPlan& plan);
 
   /// Report of the most recent sweep() (empty before the first one).
   const SweepReport& report() const { return report_; }
@@ -278,6 +302,12 @@ class DseEngine {
                   std::vector<std::pair<std::string,
                                         std::vector<std::string>>>* salvage,
                   std::size_t* invalid_out = nullptr);
+
+  /// Rows and FAIL records of `journal` plus every sibling journal, good
+  /// beating FAIL, invariant-violating rows dropped. Counts corrupt sibling
+  /// records and dropped rows into `state` when `count` is set.
+  void merge_journals(const ResultJournal& journal, ResumeState* state,
+                      bool count) const;
 
   Pipeline& pipeline_;
   std::string cache_path_;

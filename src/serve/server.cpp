@@ -22,11 +22,13 @@
 #include "obs/metrics.hpp"
 #include "serve/wire.hpp"
 #include "sweep/protocol.hpp"
+#include "verify/faultpoint.hpp"
 
 #ifndef _WIN32
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -132,6 +134,7 @@ struct DseServer::Impl {
     std::unique_ptr<core::PointRunner> runner;
     core::PointScheduler::JobHandle scheduled;  // I/O thread only
     std::uint64_t skipped = 0;  // statically pruned grid points
+    int stall_ms = 0;           // babble fault: first point sleeps first
     std::atomic<std::uint64_t> remaining{0};  // point replies still owed
     std::atomic<std::uint64_t> failed{0};
     std::chrono::steady_clock::time_point t0;
@@ -150,6 +153,7 @@ struct DseServer::Impl {
 
   std::unique_ptr<core::PointScheduler> scheduler;
   std::thread io;
+  bool one_connection = false;  // start(fd): stop when that client leaves
   bool started = false;
   bool joined = false;
 
@@ -195,6 +199,7 @@ struct DseServer::Impl {
     atomic_write_file(fp_path, want + "\n");
     journal = std::make_unique<ResultJournal>(options.cache_path + ".journal",
                                               core::DseEngine::csv_header());
+    verify::arm_journal_corruption(*journal);
     cached_points.store(journal->size());
   }
 
@@ -248,6 +253,9 @@ struct DseServer::Impl {
     if (unix_fd < 0 && tcp_fd < 0)
       throw SimError("serve: no listener configured (socket_path/tcp_port)",
                      ErrorClass::kConfig);
+  }
+
+  void open_wake_pipe() {
     int pipefd[2];
     if (::pipe(pipefd) < 0)
       throw SimError("serve: pipe failed", ErrorClass::kIo);
@@ -347,9 +355,33 @@ struct DseServer::Impl {
     job->client = client;
     job->id = req.id;
     job->t0 = std::chrono::steady_clock::now();
+    job->sweep = options.sweep;
     job->sweep.verbose = false;
     job->sweep.fail_fast = false;
     job->sweep.apps = {req.app};
+
+    // Process-level chaos (verify/faultpoint.hpp), keyed by request id: an
+    // elastic controller tags every point of chunk c "chunk-<c>", so the
+    // verdict is the chunk's whichever worker serves it, and fires once
+    // per process.
+    const verify::ProcessFault fault =
+        verify::process_fault("worker.chunk", req.id);
+    switch (fault.action) {
+      case verify::ProcessFault::Action::kKill:
+        ::kill(::getpid(), SIGKILL);
+        break;
+      case verify::ProcessFault::Action::kHang:
+        // The I/O thread stalls: no request is read and no ping answered,
+        // so the server looks exactly like a deadlocked one.
+        std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
+        break;
+      case verify::ProcessFault::Action::kBabble:
+        // Pings keep being answered while the first point stalls.
+        job->stall_ms = fault.delay_ms;
+        break;
+      case verify::ProcessFault::Action::kNone:
+        break;
+    }
     try {
       if (req.op == Request::Op::kPoint) {
         job->sweep.configs = {core::MachineConfig::parse_id(req.config_id)};
@@ -477,12 +509,14 @@ struct DseServer::Impl {
         }
         if (stop_requested.load()) break;
       }
-      if (reap)
+      if (reap) {
         clients.erase(std::remove_if(clients.begin(), clients.end(),
                                      [](const ClientPtr& c) {
                                        return c->ch.fd() < 0;
                                      }),
                       clients.end());
+        if (one_connection) request_stop();
+      }
     }
     for (const auto& c : clients) drop_client(c);
     clients.clear();
@@ -525,9 +559,12 @@ struct DseServer::Impl {
   void process_point(core::Pipeline& pipeline, const JobPtr& job,
                      std::uint64_t idx) {
     const std::string& key = job->plan.keys[idx];
+    if (idx == 0 && job->stall_ms > 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(job->stall_ms));
 
     // Cache first: a key the journal already answers — good row or
-    // quarantine — costs a map lookup, never a simulation.
+    // quarantine (unless retry_failed) — costs a map lookup, never a
+    // simulation.
     std::vector<std::string> cells;
     if (journal->find_row(key, &cells)) {
       s_cache_hits.fetch_add(1);
@@ -536,7 +573,7 @@ struct DseServer::Impl {
       return;
     }
     ResultJournal::FailRecord fail;
-    if (journal->find_fail(key, &fail)) {
+    if (!options.sweep.retry_failed && journal->find_fail(key, &fail)) {
       s_cache_hits.fetch_add(1);
       m_cache_hits().add();
       send_point_reply(*job, key, "", fail.error_class, false, true);
@@ -589,13 +626,26 @@ struct DseServer::Impl {
 
   // ---- lifecycle ---------------------------------------------------------
 
-  void start() {
+  /// `fd` < 0: listen as configured; else serve that one connection.
+  void start(int fd) {
     MUSA_CHECK_MSG(!started, "serve: start() called twice");
+    // Only the policy of options.sweep applies; each request names its
+    // own points (and each job copies the policy).
+    options.sweep.configs.clear();
+    options.sweep.axes.reset();
     open_cache();
-    open_listeners();
+    if (fd < 0) {
+      open_listeners();
+    } else {
+      one_connection = true;
+      clients.push_back(std::make_shared<Client>(fd));
+    }
+    open_wake_pipe();
     scheduler = std::make_unique<core::PointScheduler>(
         options.threads > 0 ? options.threads : default_thread_count(),
-        options.pipeline, std::make_shared<core::StageMemo>(fingerprint),
+        options.pipeline,
+        options.sweep.memoize ? std::make_shared<core::StageMemo>(fingerprint)
+                              : nullptr,
         options.max_queue_points, &m_queue_points());
     io = std::thread([this] { io_main(); });
     started = true;
@@ -634,8 +684,9 @@ struct DseServer::Impl {
 
   void wait() {
     // Polled: a request_stop() from a signal handler cannot safely notify.
+    // The short period keeps an elastic worker's exit prompt.
     while (!stop_requested.load())
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 };
 
@@ -652,7 +703,7 @@ struct DseServer::Impl {
       s_computed{0}, s_cache_hits{0}, s_dedup{0}, s_failed{0}, s_done{0},
       s_clients{0}, s_babbling{0}, s_invalidated{0};
   std::atomic<bool> stop_requested{false};
-  void start() {
+  void start(int) {
     throw SimError("serve: not supported on this platform",
                    ErrorClass::kConfig);
   }
@@ -670,7 +721,8 @@ DseServer::DseServer(ServeOptions options)
 
 DseServer::~DseServer() { impl_->stop(); }
 
-void DseServer::start() { impl_->start(); }
+void DseServer::start() { impl_->start(-1); }
+void DseServer::start(int fd) { impl_->start(fd); }
 void DseServer::wait() { impl_->wait(); }
 void DseServer::request_stop() { impl_->request_stop(); }
 void DseServer::stop() { impl_->stop(); }

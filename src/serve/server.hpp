@@ -4,11 +4,11 @@
 // journal-backed result cache — and answers point / sub-space queries from
 // many concurrent clients over AF_UNIX (and optionally loopback TCP)
 // sockets, speaking the JSON-lines grammar of serve/wire.hpp over the
-// elastic sweep's newline framing (sweep::LineChannel, babble cap
-// included). Where the elastic controller (src/sweep) amortises one batch
-// sweep across worker *processes*, the server amortises the warm state
-// across *queries over time*: the second client asking about a point pays
-// a cache lookup, not a simulation.
+// newline framing of sweep::LineChannel (babble cap included). The server
+// amortises the warm state across *queries over time*: the second client
+// asking about a point pays a cache lookup, not a simulation. Each worker
+// of an elastic sweep (src/sweep) is one of these servers too, serving
+// only its controller's connection (start(fd)).
 //
 // Execution model:
 //   * one I/O thread: poll(2) over the listeners and every client,
@@ -42,6 +42,7 @@
 #include <memory>
 #include <string>
 
+#include "core/dse.hpp"
 #include "core/pipeline.hpp"
 
 namespace musa::serve {
@@ -72,6 +73,11 @@ struct ServeOptions {
   /// Model options every answer is computed under; fingerprinted into the
   /// cache sidecar.
   core::PipelineOptions pipeline;
+  /// Containment policy every point runs under: verify, memoize (off = no
+  /// StageMemo), retry_failed (on = the cache lookup skips FAIL records),
+  /// point_timeout_s and the io retry budget. Its plan fields (apps,
+  /// configs, axes) are ignored — each request names its own points.
+  core::SweepOptions sweep;
 };
 
 /// Monotone counters snapshot (mirrored into obs metrics under "serve.*").
@@ -101,6 +107,12 @@ class DseServer {
   /// Binds the listeners and starts the I/O thread and the scheduler. Throws
   /// SimError when a socket cannot be bound or no listener is configured.
   void start();
+
+  /// Serves exactly one already-connected socket `fd` (ownership taken)
+  /// instead of listening, and stops once that connection closes. An
+  /// elastic sweep worker (src/sweep) is a server started this way on its
+  /// end of the controller's socketpair.
+  void start(int fd);
 
   /// Blocks until a shutdown is requested (signal handler via
   /// request_stop(), or a client shutdown op).

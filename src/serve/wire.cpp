@@ -500,4 +500,15 @@ std::string reply_ok(const std::string& id) {
   return "{\"id\":\"" + json_escape(id) + "\",\"ok\":true}";
 }
 
+std::string request_point(const std::string& id, const std::string& app,
+                          const std::string& config_id) {
+  return "{\"id\":\"" + json_escape(id) +
+         "\",\"op\":\"point\",\"app\":\"" + json_escape(app) +
+         "\",\"config\":\"" + json_escape(config_id) + "\"}";
+}
+
+std::string request_ping(const std::string& id) {
+  return "{\"id\":\"" + json_escape(id) + "\",\"op\":\"ping\"}";
+}
+
 }  // namespace musa::serve

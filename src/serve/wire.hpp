@@ -1,8 +1,9 @@
 // Wire grammar of the DSE server (DESIGN.md §7i "Serving").
 //
 // Requests and replies are JSON objects, one per line, carried over the
-// same newline framing the elastic sweep already speaks
-// (sweep::LineChannel, including its 64 KiB babble cap). Four operations:
+// newline framing of sweep::LineChannel (including its 64 KiB babble cap).
+// It is the only wire: elastic sweep workers are servers too, leased
+// chunks as `point` requests and pinged for liveness. Four operations:
 //
 //   {"id":"r1","op":"point","app":"hydro",
 //    "config":"medium|32M:256K|2.0GHz|128b|4ch-DDR4-2333|32c"}
@@ -111,6 +112,11 @@ std::string reply_error(const std::string& id, const std::string& message);
 std::string reply_pong(const std::string& id, std::uint64_t fingerprint,
                        std::uint64_t cache_points);
 std::string reply_ok(const std::string& id);
+
+// Request builders for the server's own clients (the elastic controller).
+std::string request_point(const std::string& id, const std::string& app,
+                          const std::string& config_id);
+std::string request_ping(const std::string& id);
 
 /// "%016llx" of a fingerprint — the wire encoding (JSON numbers cannot
 /// carry 64 bits losslessly).

@@ -11,15 +11,14 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/csv.hpp"
 #include "common/journal.hpp"
 #include "common/parallel.hpp"
-#include "common/parse.hpp"
 #include "common/progress.hpp"
 #include "core/point_runner.hpp"
 #include "core/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "serve/wire.hpp"
 #include "sweep/protocol.hpp"
 #include "sweep/worker.hpp"
 #include "verify/faultpoint.hpp"
@@ -94,15 +93,25 @@ obs::Gauge& workers_live() {
 
 /// One forked worker from the controller's side of the fence.
 struct WorkerProc {
-  enum class State { kStarting, kIdle, kLeased, kQuitting };
+  enum class State { kStarting, kIdle, kLeased };
 
   int id = 0;  // spawn id: unique across respawns
   pid_t pid = -1;
   std::unique_ptr<LineChannel> channel;
   std::unique_ptr<JournalTailer> tailer;
-  State state = State::kStarting;
+  State state = State::kStarting;  // kStarting until its first reply
   int chunk = -1;  // chunk we believe it is computing (even when revoked)
+  std::uint64_t owed = 0;  // terminal replies still due for `chunk`
+  double ping_due = 0.0;
 };
+
+/// A reply that ends its request: `done`, or an `error`/`busy` refusal.
+bool terminal_reply(const std::string& line) {
+  serve::JsonValue r;
+  std::string error;
+  return serve::parse_json(line, &r, &error) &&
+         (r.find("done") || r.find("error") || r.find("busy"));
+}
 
 }  // namespace
 
@@ -117,38 +126,14 @@ ElasticReport ElasticController::run() {
 
   const core::SweepPlan plan = core::make_sweep_plan(sweep_);
 
-  // Resume state: a key is resolved if a parseable cache row or any
-  // journal (a dead controller's, a dead worker's) already covers it.
-  // Invariant-violating rows are NOT filtered here — the finalize engine
-  // drops and recomputes those in-process; the lease phase only promises
-  // coverage, not validity.
-  std::unordered_set<std::string> resolved;
-  if (CsvDoc::file_exists(cache_path_)) {
-    try {
-      std::size_t bad = 0;
-      const CsvDoc doc = CsvDoc::load_tolerant(cache_path_, &bad);
-      if (doc.header() == header)
-        for (const auto& row : doc.rows()) {
-          try {
-            const core::SimResult r = core::DseEngine::from_row(row);
-            resolved.insert(core::DseEngine::point_key(r.app, r.config));
-          } catch (const SimError&) {
-          }
-        }
-    } catch (const SimError&) {
-    }
-  }
-  for (const auto& path : find_journals(cache_path_)) {
-    const ResultJournal::LoadResult lr = ResultJournal::read(path, header);
-    if (lr.schema_mismatch) continue;
-    for (const auto& [key, row] : lr.entries) resolved.insert(key);
-    if (!sweep_.retry_failed)
-      for (const auto& [key, fail] : lr.fails) resolved.insert(key);
-  }
-
-  std::vector<std::uint64_t> pending;
-  for (std::uint64_t i = 0; i < plan.size(); ++i)
-    if (resolved.count(plan.keys[i]) == 0) pending.push_back(i);
+  // Resume state: the finalize engine's own reader, so the lease phase
+  // leases exactly what finalize would otherwise compute.
+  core::DseEngine engine(pipeline_, cache_path_, sweep_);
+  core::ResumeState resume = engine.resume(plan);
+  const std::vector<std::uint64_t>& pending = resume.missing;
+  std::unordered_set<std::string> resolved(plan.keys.begin(),
+                                           plan.keys.end());
+  for (const std::uint64_t i : pending) resolved.erase(plan.keys[i]);
 
   ElasticReport rep;
   rep.points = pending.size();
@@ -167,9 +152,9 @@ ElasticReport ElasticController::run() {
   rep.chunks = table.chunk_count();
 
   // Controller journal: in-process fallback rows and the live lease-event
-  // stream. Same path the engine journals to, so the finalize pass loads
-  // it as its own.
-  ResultJournal journal(cache_path_ + ".journal", header);
+  // stream. It is the engine journal the resume state opened, so the
+  // finalize pass loads it as its own.
+  ResultJournal& journal = *resume.journal;
   verify::arm_journal_corruption(journal);
 
   const auto log_lease = [&](const char* event, int chunk, int worker,
@@ -250,6 +235,7 @@ ElasticReport ElasticController::run() {
   core::SweepOptions ctrl_sweep = sweep_;
   ctrl_sweep.fail_fast = false;
   core::PointRunner runner(plan, ctrl_sweep);
+  std::vector<std::unique_ptr<WorkerProc>> procs;
   const auto run_inprocess = [&](int c) {
     ++rep.inprocess_chunks;
     inprocess_total().add();
@@ -277,20 +263,20 @@ ElasticReport ElasticController::run() {
       if (resolved.count(plan.keys[pending[t]]) == 0)
         log_lease("abandoned", c, -1, plan.keys[pending[t]]);
     commit_chunk(c, "inprocess");
+    // The loop was blocked here, not the workers: re-stamp their beats.
+    for (auto& p : procs) table.beat(p->id, now());
   };
 
   // --- worker process management ---
-  std::vector<std::unique_ptr<WorkerProc>> procs;
   int next_spawn = 0;
   bool fork_failed = false;
-  WorkerEnv env_base;
-  env_base.plan = &plan;
-  env_base.pending = &pending;
-  env_base.sweep = sweep_;
-  env_base.pipeline = pipeline_.options();
-  env_base.cache_path = cache_path_;
-  env_base.trace_path = elastic_.trace_path;
-  env_base.heartbeat_s = elastic_.heartbeat_s;
+  serve::ServeOptions worker_opts;
+  worker_opts.threads = 1;  // a worker computes its chunk serially
+  worker_opts.max_queue_points =
+      static_cast<std::uint64_t>(elastic_.lease_points);
+  worker_opts.pipeline = pipeline_.options();
+  worker_opts.sweep = sweep_;
+  const std::string ping = serve::request_ping("ping");
 
   const auto spawn = [&]() -> bool {
     int sv[2];
@@ -298,8 +284,7 @@ ElasticReport ElasticController::run() {
       fork_failed = true;
       return false;
     }
-    WorkerEnv env = env_base;
-    env.spawn_id = next_spawn;
+    const int id = next_spawn;
     const pid_t pid = ::fork();
     if (pid < 0) {
       ::close(sv[0]);
@@ -309,31 +294,33 @@ ElasticReport ElasticController::run() {
     }
     if (pid == 0) {
       // Child: drop the controller's ends — ours and every sibling's —
-      // then run the worker loop. _Exit skips atexit/stream flushing of
-      // fork-inherited state that belongs to the parent.
+      // then serve. _Exit skips atexit/stream flushing of fork-inherited
+      // state that belongs to the parent.
       ::close(sv[0]);
       for (auto& p : procs) p->channel->close();
+      serve::ServeOptions opts = worker_opts;
+      opts.cache_path = worker_cache_path(cache_path_, id);
       int code = 1;
       try {
-        code = worker_main(sv[1], env);
+        code = worker_main(sv[1], opts, elastic_.trace_path, id);
       } catch (...) {
       }
       std::_Exit(code);
     }
     ::close(sv[1]);
     auto proc = std::make_unique<WorkerProc>();
-    proc->id = env.spawn_id;
+    proc->id = id;
     proc->pid = pid;
     proc->channel = std::make_unique<LineChannel>(sv[0]);
     proc->tailer = std::make_unique<JournalTailer>(
-        worker_journal_path(cache_path_, env.spawn_id), header);
+        worker_journal_path(cache_path_, id), header);
     const bool respawn = rep.spawned >= elastic_.workers;
     ++rep.spawned;
     if (respawn) {
       ++rep.respawns;
       respawns_total().add();
     }
-    log_lease(respawn ? "respawned" : "spawned", -1, env.spawn_id,
+    log_lease(respawn ? "respawned" : "spawned", -1, id,
               "pid=" + std::to_string(pid));
     procs.push_back(std::move(proc));
     ++next_spawn;
@@ -374,10 +361,13 @@ ElasticReport ElasticController::run() {
     p.chunk = c;
     if (obs::Tracer::enabled()) grant_us[c] = obs::Tracer::now_us();
     log_lease("granted", c, p.id, "");
+    // The lease is the chunk's points as ordinary point requests.
     const LeaseChunk& chunk = table.chunk(c);
-    p.channel->send("lease " + std::to_string(c) + " " +
-                    std::to_string(chunk.begin) + " " +
-                    std::to_string(chunk.points()));
+    const std::string id = "chunk-" + std::to_string(c);
+    p.owed = chunk.points();
+    for (std::uint64_t t = chunk.begin; t < chunk.end; ++t)
+      p.channel->send(serve::request_point(id, plan.app_of(pending[t]).name,
+                                           plan.config_of(pending[t]).id()));
   };
 
   const int spawn_cap = elastic_.workers + elastic_.effective_respawn_budget();
@@ -388,6 +378,14 @@ ElasticReport ElasticController::run() {
     while (static_cast<int>(procs.size()) < elastic_.workers &&
            next_spawn < spawn_cap && !fork_failed)
       if (!spawn()) break;
+
+    // Heartbeats are the controller's pings, answered by each worker's I/O
+    // thread: a hung server stops answering, a slow point does not.
+    for (auto& p : procs)
+      if (now() >= p->ping_due) {
+        p->channel->send(ping);
+        p->ping_due = now() + elastic_.heartbeat_s;
+      }
 
     // Wait for traffic. Half a heartbeat keeps stale detection prompt
     // without busy-spinning; the lower bound keeps a tiny heartbeat from
@@ -400,7 +398,8 @@ ElasticReport ElasticController::run() {
     if (!fds.empty())
       ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
 
-    // (1) Drain messages. Scheduling only — no message resolves a key.
+    // (1) Drain replies. Scheduling only — no reply resolves a key. Any
+    // line proves the worker alive; its first one admits it to the table.
     for (std::size_t i = 0; i < procs.size(); ++i) {
       if (i < fds.size() && (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0)
         continue;
@@ -408,37 +407,27 @@ ElasticReport ElasticController::run() {
       std::vector<std::string> lines;
       p.channel->drain(&lines);  // EOF is reaped via waitpid below
       for (const std::string& line : lines) {
-        const std::vector<std::string> words = split_words(line);
-        if (words.empty()) continue;
-        if (words[0] == "hello") {
+        if (p.state == WorkerProc::State::kStarting) {
           table.add_worker(p.id, now());
           grant_to(p);
-        } else if (words[0] == "beat") {
-          table.beat(p.id, now());
-        } else if (words[0] == "done" && words.size() >= 2) {
-          // Strict chunk decode: a malformed field makes the whole line
-          // babble (ignored, like an unknown verb) instead of aliasing to
-          // chunk 0 and committing/revoking a chunk the worker never held.
-          // Recovery needs no message: the tailers still see its rows and
-          // the straggler rule re-leases anything genuinely unfinished.
-          int c = -1;
-          if (!parse_int(words[1], &c)) continue;
-          table.beat(p.id, now());
-          if (c >= 0 && c < table.chunk_count()) {
-            ingest(p);
-            if (chunk_covered(c)) {
-              commit_chunk(c, "done");
-            } else if (table.chunk(c).phase == LeaseChunk::Phase::kLeased &&
-                       table.chunk(c).holder == p.id) {
-              // The worker claims completion but the journal disagrees
-              // (e.g. a corrupt-fault ate a record): the journal wins.
-              revoke_chunk(c, "incomplete", p.id);
-            }
-          }
-          p.state = WorkerProc::State::kIdle;
-          p.chunk = -1;
         }
-        // Unknown verbs: version skew, visible to lint, fatal to nobody.
+        table.beat(p.id, now());
+        if (p.state != WorkerProc::State::kLeased || !terminal_reply(line) ||
+            --p.owed > 0)
+          continue;
+        // Every request of the chunk has ended. The journal decides: a
+        // chunk whose rows are missing (a refused request, a corrupt
+        // record) is revoked, never committed on the worker's say-so.
+        const int c = p.chunk;
+        ingest(p);
+        if (chunk_covered(c)) {
+          commit_chunk(c, "done");
+        } else if (table.chunk(c).phase == LeaseChunk::Phase::kLeased &&
+                   table.chunk(c).holder == p.id) {
+          revoke_chunk(c, "incomplete", p.id);
+        }
+        p.state = WorkerProc::State::kIdle;
+        p.chunk = -1;
       }
     }
 
@@ -496,23 +485,16 @@ ElasticReport ElasticController::run() {
     if (procs.empty() && (next_spawn >= spawn_cap || fork_failed))
       for (int c : table.pending()) run_inprocess(c);
 
-    // (8) Grants for idle workers; quit signals once nothing is left.
+    // (8) Grants for idle workers.
     for (auto& p : procs)
       if (p->state == WorkerProc::State::kIdle) grant_to(*p);
-    if (table.all_committed())
-      for (auto& p : procs)
-        if (p->state != WorkerProc::State::kQuitting) {
-          p->channel->send("quit");
-          p->state = WorkerProc::State::kQuitting;
-        }
   }
 
-  // Shutdown: quit everyone (revoked stragglers may still be mid-chunk —
-  // their residual rows are harmless), give them a grace window to flush
-  // trace sidecars, then SIGKILL the rest. Journals are fsync'd per row,
-  // so nothing of value can be lost here.
-  for (auto& p : procs)
-    if (p->state != WorkerProc::State::kQuitting) p->channel->send("quit");
+  // Shutdown: EOF stops every worker's server (revoked stragglers may
+  // still be mid-chunk — their residual rows are harmless); give them a
+  // grace window to flush trace sidecars, then SIGKILL the rest. Journals
+  // are fsync'd per row, so nothing of value can be lost here.
+  for (auto& p : procs) p->channel->close();
   const double grace_deadline = now() + 15.0;
   while (!procs.empty() && now() < grace_deadline) {
     for (std::size_t i = 0; i < procs.size();) {
@@ -534,6 +516,8 @@ ElasticReport ElasticController::run() {
   }
   procs.clear();
   workers_live().set(0.0);
+  for (int id = 0; id < next_spawn; ++id)
+    std::remove((worker_cache_path(cache_path_, id) + ".fp").c_str());
 
   rep.wall_s = now();
 

@@ -1,19 +1,21 @@
 // Elastic sweep controller (DESIGN.md §7h): the parent half of the
 // controller/worker pair.
 //
-// The controller owns the sweep plan, forks worker processes, and leases
-// them bounded chunks of the pending-point list. Ground truth is never a
-// message: a chunk commits only when the controller's incremental journal
-// tailers have seen a durable, checksum-valid row (good or FAIL) for every
-// key in it. Heartbeats and `done` messages only steer scheduling — a dead
-// or lying worker can therefore delay the sweep but never corrupt it.
+// The controller owns the sweep plan, forks worker processes — each a
+// serve::DseServer on one socketpair (sweep/worker.hpp) — and leases them
+// bounded chunks of the pending-point list as ordinary `point` requests.
+// Ground truth is never a message: a chunk commits only when the
+// controller's incremental journal tailers have seen a durable,
+// checksum-valid row (good or FAIL) for every key in it. Pongs and `done`
+// replies only steer scheduling — a dead or lying worker can therefore
+// delay the sweep but never corrupt it.
 //
 // Failure handling, in escalation order:
 //   - worker exits (or is kill -9'd)  -> waitpid notices, lease revoked,
 //     replacement forked while the respawn budget lasts
-//   - worker goes silent (hang)       -> stale-heartbeat rule: SIGKILL,
-//     revoke, respawn
-//   - worker beats but crawls         -> straggler rule (lease age vs the
+//   - worker goes silent (hang)       -> stale-heartbeat rule (its pings
+//     go unanswered): SIGKILL, revoke, respawn
+//   - worker answers but crawls       -> straggler rule (lease age vs the
 //     running median of committed chunk times): revoke and re-lease; the
 //     slow worker keeps running, duplicate rows are idempotent
 //   - a chunk keeps killing holders   -> after poison_limit revocations the

@@ -27,10 +27,10 @@ namespace musa::sweep {
 struct ElasticOptions {
   int workers = 2;        // worker processes to keep alive
   int lease_points = 8;   // plan points per leased chunk
-  double heartbeat_s = 0.25;  // expected worker beat interval
+  double heartbeat_s = 0.25;  // controller's ping interval per worker
 
-  /// A worker silent for longer than stale_beats × heartbeat_s is declared
-  /// dead: SIGKILLed (it may be hung, not gone), its lease revoked, and a
+  /// A worker silent (no reply, pongs included) for longer than
+  /// stale_beats × heartbeat_s is declared dead: SIGKILLed (it may be hung, not gone), its lease revoked, and a
   /// replacement spawned while the respawn budget lasts.
   double stale_beats = 8.0;
 

@@ -9,21 +9,6 @@
 
 namespace musa::sweep {
 
-std::vector<std::string> split_words(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char ch : line) {
-    if (ch == ' ') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(ch);
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
-}
-
 #ifndef _WIN32
 
 void LineChannel::close() {
@@ -132,7 +117,7 @@ bool LineChannel::read_line(std::string* line) {
   }
 }
 
-#else  // _WIN32: the elastic controller is POSIX-only (fork/socketpair)
+#else  // _WIN32: sockets and fork are POSIX-only here
 
 void LineChannel::close() { fd_ = -1; }
 bool LineChannel::send(const std::string&) { return false; }

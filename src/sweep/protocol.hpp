@@ -1,24 +1,13 @@
-// Controller ↔ worker wire protocol: newline-delimited text over one
-// AF_UNIX socketpair per worker.
+// Newline framing of the serve wire (serve/wire.hpp): one JSON line per
+// request or reply over a stream socket — a dse_serve client's connection
+// or the AF_UNIX socketpair between the elastic controller and one of its
+// forked workers.
 //
-//   worker → controller   hello <pid>
-//                         beat <chunk> <points-done>     (heartbeat thread)
-//                         done <chunk> <busy-us>
-//   controller → worker   lease <chunk> <offset> <count>
-//                         quit
-//
-// Offsets index the controller's pending-point list, which the worker
-// inherited verbatim through fork — the protocol never ships plan data,
-// only coordinates into it. Text lines keep the protocol greppable in
-// straces and trivially versionable; an unknown verb is ignored by both
-// sides (same skew policy as unknown journal record types: visible to
-// lint, fatal to neither process).
-//
-// The channel is intentionally dumb: send() is mutex-guarded (the worker's
-// compute and heartbeat threads share one fd) and reports peer death as
-// `false` instead of raising SIGPIPE; reads come in two flavors — a
-// blocking read_line() for the worker's command loop and a non-blocking
-// drain() for the controller's poll loop.
+// The channel is intentionally dumb: send() is mutex-guarded (a server's
+// compute and I/O threads share one fd) and reports peer death as `false`
+// instead of raising SIGPIPE; reads come in two flavors — a blocking
+// read_line() for simple clients and a non-blocking drain() for poll
+// loops.
 #pragma once
 
 #include <mutex>
@@ -29,12 +18,11 @@ namespace musa::sweep {
 
 class LineChannel {
  public:
-  /// Longest line either side will buffer. Every legitimate frame — lease
-  /// grants, heartbeats, serve requests and replies — is orders of
-  /// magnitude smaller; a peer that exceeds it (a newline-less babbler, a
-  /// runaway writer) is flagged and disconnected instead of growing the
-  /// receive buffer without bound. Required before any network client is
-  /// allowed on the wire.
+  /// Longest line either side will buffer. Every legitimate frame — serve
+  /// requests and replies — is orders of magnitude smaller; a peer that
+  /// exceeds it (a newline-less babbler, a runaway writer) is flagged and
+  /// disconnected instead of growing the receive buffer without bound.
+  /// Required before any network client is allowed on the wire.
   static constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
   /// Takes ownership of `fd` (closed on destruction).
@@ -83,8 +71,5 @@ class LineChannel {
   bool babbling_ = false;
   std::mutex send_mu_;
 };
-
-/// splits "verb a b c" on single spaces; no quoting, empty fields elided.
-std::vector<std::string> split_words(const std::string& line);
 
 }  // namespace musa::sweep

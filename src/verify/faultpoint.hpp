@@ -113,11 +113,15 @@ bool fault_corrupt(const char* site, const std::string& key);
 void arm_journal_corruption(ResultJournal& journal);
 
 /// Verdict of the process-level fault kinds (kill/hang/babble) at a site.
-/// Unlike fault_point(), nothing is thrown or slept here: the caller — the
-/// elastic sweep worker, at site "worker.chunk" keyed by chunk id — is the
-/// one that must die, stall, or babble, because only it knows its own
-/// heartbeat machinery. In-process execution never consults this, so the
-/// controller's fallback path is immune by construction.
+/// Unlike fault_point(), nothing is thrown or slept here: the caller — a
+/// serve::DseServer admitting a request, at site "worker.chunk" keyed by
+/// the request id ("chunk-<c>" for an elastic worker's lease) — is the one
+/// that must die, stall, or babble, because only it knows which of its
+/// threads answers pings: kill is a SIGKILL from the I/O thread, hang
+/// sleeps the I/O thread (no pongs), babble stalls the request's first
+/// point on its compute thread while pongs continue. In-process execution
+/// never consults this, so the controller's fallback path is immune by
+/// construction.
 struct ProcessFault {
   enum class Action { kNone, kKill, kHang, kBabble };
   Action action = Action::kNone;

@@ -511,6 +511,39 @@ TEST(DseEngine, ShardedJournalsMergeIntoSingleProcessResult) {
   merged.clear_cache();
 }
 
+// Point keys carry ranks: two configs that differ only in ranks are two
+// keys and two rows, each with its own ranks column. The paper's 256 ranks
+// keep the six-field id every committed cache key uses.
+TEST(DseEngine, ConfigsDifferingOnlyInRanksKeepTheirOwnRows) {
+  const std::string cache =
+      std::string(::testing::TempDir()) + "musa_dse_ranks.csv";
+  MachineConfig few;
+  few.cores = 4;
+  few.ranks = 4;
+  MachineConfig many = few;
+  many.ranks = 8;
+  SweepOptions o;
+  o.verbose = false;
+  o.apps = {"hydro"};
+  o.configs = {few, many};
+  const SweepPlan plan = make_sweep_plan(o);
+  ASSERT_EQ(plan.size(), 2u);
+  EXPECT_NE(plan.keys[0], plan.keys[1]);
+  EXPECT_EQ(MachineConfig::parse_id(many.id()).ranks, 8);
+  EXPECT_EQ(MachineConfig::parse_id(few.id()).id(), few.id());
+  EXPECT_EQ(MachineConfig{}.id(), "medium|32M:256K|2.0GHz|128b|4ch-DDR4-2333|32c");
+
+  Pipeline p(fast_options());
+  DseEngine dse(p, cache, o);
+  dse.clear_cache();
+  ASSERT_TRUE(dse.sweep().finalized);
+  const CsvDoc doc = CsvDoc::load(cache);
+  ASSERT_EQ(doc.rows().size(), 2u);
+  EXPECT_EQ(doc.rows()[0][8], "4");
+  EXPECT_EQ(doc.rows()[1][8], "8");
+  dse.clear_cache();
+}
+
 TEST(DseEngine, PowerMetricsSkipUnknownDramPower) {
   const std::string path =
       std::string(::testing::TempDir()) + "musa_dse_hbm.csv";

@@ -458,6 +458,53 @@ TEST(ElasticController, SurvivesKillNineOnEveryLease) {
   EXPECT_EQ(read_file(cache), want);
 }
 
+TEST(ElasticController, KillsAWorkerWhoseHeartbeatGoesStale) {
+  // worker.chunk:hang stalls the worker's I/O thread far past
+  // stale_after_s(): no ping is answered, so the controller must SIGKILL
+  // the silent worker, revoke its lease, and still converge — on a cache
+  // byte-identical to the in-process one.
+  const std::string ref = tmp_path("elastic_hang_ref.csv");
+  const std::string cache = tmp_path("elastic_hang.csv");
+  const std::string want = reference_cache(ref);
+
+  clear_artifacts(cache);
+  FaultGuard guard;
+  const sweep::ElasticOptions eopt = fast_elastic(2);  // 4 one-point chunks
+  const int hang_ms = static_cast<int>(eopt.stale_after_s() * 1000.0) * 5;
+  // A seed that curses some chunks but not all, so healthy leases commit
+  // beside the hung ones.
+  verify::FaultSpec spec;
+  spec.site = "worker.chunk";
+  spec.kind = verify::FaultKind::kHang;
+  spec.prob = 0.5;
+  bool found = false;
+  for (std::uint64_t seed = 0; seed < 256 && !found; ++seed) {
+    spec.seed = seed;
+    int hit = 0;
+    for (int c = 0; c < 4; ++c)
+      hit += verify::fault_decision(spec, "worker.chunk",
+                                    "chunk-" + std::to_string(c))
+                 ? 1
+                 : 0;
+    found = hit > 0 && hit < 4;
+  }
+  ASSERT_TRUE(found);
+  verify::FaultPlan::install(verify::FaultPlan::parse(
+      "worker.chunk:hang:" + std::to_string(spec.seed) + ":0.5:" +
+      std::to_string(hang_ms)));
+
+  core::Pipeline pipeline(fast_options());
+  sweep::ElasticController controller(pipeline, cache, tiny_sweep(), eopt);
+  const sweep::ElasticReport report = controller.run();
+  EXPECT_EQ(report.resolved, 4u);
+  EXPECT_GE(report.killed, 1);
+  verify::FaultPlan::clear();
+
+  core::DseEngine dse(pipeline, cache, tiny_sweep());
+  EXPECT_TRUE(dse.sweep(false).finalized);
+  EXPECT_EQ(read_file(cache), want);
+}
+
 TEST(ElasticController, WritesAuditableLeaseLog) {
   const std::string cache = tmp_path("elastic_audit.csv");
   clear_artifacts(cache);

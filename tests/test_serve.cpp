@@ -134,9 +134,8 @@ std::string space_request(const std::string& id, int priority = 0) {
 }
 
 core::MachineConfig tiny_config() {
-  // Point queries name their config by MachineConfig::id(), which does not
-  // encode `ranks` (the paper grid has a single rank count) — so stay on
-  // the default ranks for the id round-trip to be exact.
+  // Default ranks: MachineConfig::id() then has the paper grid's six
+  // fields, like every committed cache key.
   core::MachineConfig c;
   c.cores = 4;
   return c;
@@ -174,6 +173,30 @@ TEST(Serve, PointRepliesAreByteIdenticalToBatchAndThenCached) {
   EXPECT_EQ(s.computed, 1u);
   EXPECT_EQ(s.cache_hits, 1u);
   EXPECT_EQ(s.done, 2u);
+}
+
+TEST(Serve, PointIdCarriesRanks) {
+  serve::ServeOptions opts = serve_options("ranks");
+  serve::DseServer server(opts);
+  server.start();
+
+  core::MachineConfig cfg = tiny_config();
+  cfg.ranks = 4;
+  sweep::LineChannel ch(connect_unix(opts.socket_path));
+  ASSERT_TRUE(ch.send(point_request("r4", cfg)));
+  const serve::JsonValue result = read_reply(ch);
+  EXPECT_EQ(str_field(result, "key"), "hydro|" + cfg.id());
+  const std::string row = str_field(result, "row");
+  EXPECT_EQ(row, batch_row(cfg));
+  std::vector<std::string> cells(1);
+  for (const char c : row) {
+    if (c == ',') cells.emplace_back();
+    else cells.back() += c;
+  }
+  ASSERT_EQ(cells.size(), core::DseEngine::csv_header().size());
+  EXPECT_EQ(cells[8], "4");  // the ranks column
+  EXPECT_TRUE(has_field(read_reply(ch), "done"));
+  server.stop();
 }
 
 TEST(Serve, ConcurrentClientsForOneKeyShareOneComputation) {
