@@ -24,6 +24,11 @@ musa_add_bench(dse_serve)
 target_link_libraries(dse_serve PRIVATE musa_serve)
 musa_add_bench(dse_loadtest)
 target_link_libraries(dse_loadtest PRIVATE musa_serve)
+# A baseline that is also the output (the default --out included) exits 2
+# before connecting; the socket does not exist, so connecting would exit 1.
+add_test(NAME dse_loadtest.usage
+  COMMAND sh -c "\"$0\" --socket no.sock --check-regression base.json --out ./base.json; [ $? -eq 2 ] || exit 1; \"$0\" --socket no.sock --check-regression BENCH_sweep.json; [ $? -eq 2 ]"
+          $<TARGET_FILE:dse_loadtest>)
 musa_add_bench(ablation_model)
 musa_add_bench(power_report)
 musa_add_bench(dse_report)
@@ -37,9 +42,3 @@ add_test(NAME dse_figures.experiments
           -DWORK_DIR=${CMAKE_BINARY_DIR}/dse_figures_check
           -P ${CMAKE_SOURCE_DIR}/bench/check_figures.cmake)
 set_tests_properties(dse_figures.experiments PROPERTIES LABELS figures)
-
-# Component microbenchmarks (google-benchmark).
-add_executable(micro_components ${CMAKE_SOURCE_DIR}/bench/micro_components.cpp)
-target_link_libraries(micro_components PRIVATE musa_core benchmark::benchmark)
-set_target_properties(micro_components PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

@@ -31,7 +31,8 @@ Pointwise lint modes (default: --presets --space + default cache if present):
   --presets        lint every built-in preset (cores, caches, DRAM techs)
   --space          lint the paper's 864-point grid and Table II configs
   --cache FILE     lint a result CSV: parse + config + result invariants
-  --journal FILE   lint a sweep journal the same way
+  --journal FILE   lint a sweep journal the same way, and reconcile its
+                   lease records (an elastic run's <cache>.leases)
   --rules          print the rule catalogue and exit
 
 Static space analysis (verify/space_analysis.hpp):
@@ -170,12 +171,15 @@ int lint_journal(const std::string& path, LintStats& stats) {
                   std::to_string(lr.dropped) +
                       " record(s) failed their checksum (crash damage)"}},
                 path.c_str());
+  std::string counts = std::to_string(lr.entries.size()) + " point(s)";
+  if (!lr.fails.empty())
+    counts += ", " + std::to_string(lr.fails.size()) + " quarantined";
+  if (!lr.leases.empty())
+    counts += ", " + std::to_string(lr.leases.size()) + " lease record(s)";
+  std::printf("dse_lint: %s: %s\n", path.c_str(), counts.c_str());
   // Quarantine (FAIL) rows: informational, not violations by themselves —
   // containment working as designed — but an unknown error class means a
   // writer/reader version skew and is flagged.
-  if (!lr.fails.empty())
-    std::printf("dse_lint: %s: %zu quarantined point(s)\n", path.c_str(),
-                lr.fails.size());
   for (const auto& [key, fail] : lr.fails) {
     ++stats.subjects;
     const std::string cls = fail.error_class;
@@ -189,26 +193,34 @@ int lint_journal(const std::string& path, LintStats& stats) {
                   fail.stage.empty() ? "unknown" : fail.stage.c_str(),
                   fail.attempts, fail.message.c_str());
   }
-  // Lease records (elastic controller audit trail, DESIGN.md §7h): the
-  // events themselves are informational, but an event name outside the
-  // known vocabulary means writer/reader version skew — the same policy
-  // as quarantine error classes, and the same exit-1 consequence.
-  if (!lr.leases.empty())
-    std::printf("dse_lint: %s: %zu lease record(s)\n", path.c_str(),
-                lr.leases.size());
+  // Lease records (elastic controller audit trail, DESIGN.md §7h) must
+  // reconcile: a chunk a lease touched but nothing committed, or an event
+  // name outside the known vocabulary (writer/reader version skew, the
+  // same policy as quarantine error classes), exits 1.
   for (const auto& lease : lr.leases) {
     ++stats.subjects;
-    if (!known_lease_event(lease.event))
-      stats.merge({{"journal.lease-event", lease.event,
-                    "unknown lease event \"" + lease.event +
-                        "\" (writer/reader version skew)"}},
-                  path.c_str());
     if (!stats.quiet)
       std::printf("  LEASE %-10s chunk=%-3d worker=%-3d [%llu,%llu)%s%s\n",
                   lease.event.c_str(), lease.chunk, lease.worker,
                   static_cast<unsigned long long>(lease.begin),
                   static_cast<unsigned long long>(lease.end),
                   lease.detail.empty() ? "" : " ", lease.detail.c_str());
+  }
+  if (!lr.leases.empty()) {
+    const LeaseAccounting acc = reconcile_leases(lr.leases);
+    std::string events;
+    for (const auto& [event, n] : acc.counts)
+      events += (events.empty() ? "" : ", ") + std::to_string(n) + " " + event;
+    std::printf("lease accounting: %s -> %s\n", events.c_str(),
+                acc.ok() ? "OK" : "BAD");
+    for (const auto& event : acc.unknown)
+      stats.merge({{"journal.lease-event", event,
+                    "unknown lease event (writer/reader version skew)"}},
+                  path.c_str());
+    for (int c : acc.unaccounted)
+      stats.merge({{"journal.lease-unaccounted", "chunk " + std::to_string(c),
+                    "touched by a lease but never committed"}},
+                  path.c_str());
   }
   for (const auto& [key, row] : lr.entries)
     lint_row(row, path + "[" + key + "]", stats);

@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -310,6 +311,22 @@ int main(int argc, char** argv) {
     }
   }
   if (socket_path.empty() && tcp_port < 0) return usage(argv[0]);
+  // The fresh entry is merged into --out before the baseline is read, so
+  // one file for both would compare the run against itself.
+  if (!baseline_path.empty()) {
+    std::error_code ec;
+    const auto canon = [&ec](const std::string& path) {
+      return std::filesystem::weakly_canonical(
+          std::filesystem::absolute(path, ec), ec);
+    };
+    if (canon(baseline_path) == canon(out_path)) {
+      std::fprintf(stderr,
+                   "dse_loadtest: the fresh run would be merged into the "
+                   "baseline %s; name another --out file\n",
+                   baseline_path.c_str());
+      return usage(argv[0]);
+    }
+  }
 
 #ifdef _WIN32
   std::fprintf(stderr, "dse_loadtest: not supported on this platform\n");

@@ -7,6 +7,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -53,6 +56,10 @@ constexpr std::size_t kFailMessageMax = 240;
 /// fixed six-cell {event, chunk, worker, begin, end, detail} schema.
 constexpr const char* kLeasePrefix = "LEASE!";
 constexpr std::size_t kLeaseCells = 6;
+/// The lease-event vocabulary, in the order the accounting lists counts.
+constexpr const char* kLeaseEvents[] = {"granted",   "revoked",   "committed",
+                                        "spawned",   "respawned", "killed",
+                                        "inprocess", "abandoned"};
 
 std::string join(const std::vector<std::string>& cells, char sep) {
   std::string out;
@@ -196,10 +203,32 @@ ParsedRecord parse_record(const std::string& line,
 }  // namespace
 
 bool known_lease_event(const std::string& event) {
-  for (const char* known : {"granted", "revoked", "committed", "spawned",
-                            "respawned", "killed", "inprocess", "abandoned"})
-    if (event == known) return true;
-  return false;
+  return std::find(std::begin(kLeaseEvents), std::end(kLeaseEvents), event) !=
+         std::end(kLeaseEvents);
+}
+
+LeaseAccounting reconcile_leases(const std::vector<LeaseRecord>& leases) {
+  std::map<std::string, std::size_t> by_event;
+  std::set<int> touched, committed;
+  std::set<std::string> unknown;
+  for (const LeaseRecord& r : leases) {
+    ++by_event[r.event];
+    if (!known_lease_event(r.event)) unknown.insert(r.event);
+    if (r.chunk < 0) continue;
+    if (r.event == "committed")
+      committed.insert(r.chunk);
+    else if (r.event == "granted" || r.event == "revoked" ||
+             r.event == "inprocess")
+      touched.insert(r.chunk);
+  }
+  LeaseAccounting acc;
+  for (const char* event : kLeaseEvents)
+    if (const auto it = by_event.find(event); it != by_event.end())
+      acc.counts.emplace_back(event, it->second);
+  std::set_difference(touched.begin(), touched.end(), committed.begin(),
+                      committed.end(), std::back_inserter(acc.unaccounted));
+  acc.unknown.assign(unknown.begin(), unknown.end());
+  return acc;
 }
 
 std::uint64_t fnv1a64(const std::string& data) {

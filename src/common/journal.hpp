@@ -26,12 +26,11 @@
 // always supersedes any FAIL row for the same key (a quarantine must never
 // shadow a real result), and duplicate FAIL rows dedupe to the last one.
 //
-// Lease (LEASE) rows are the elastic sweep controller's audit log, under a
-// second reserved key prefix: a record with key "LEASE!<seq>" carries the
-// fixed six-cell payload {event, chunk, worker, begin, end, detail}. They
-// never shadow result keys — loaders keep them in a separate, file-ordered
-// list — so a controller journal can interleave lease events with the
-// result rows its in-process fallback computes.
+// Lease (LEASE) rows are the elastic sweep controller's audit log (the
+// `<cache>.leases` journal), under a second reserved key prefix: a record
+// with key "LEASE!<seq>" carries the fixed six-cell payload {event, chunk,
+// worker, begin, end, detail}. They never shadow result keys — loaders keep
+// them in a separate, file-ordered list that reconcile_leases() checks.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +62,19 @@ struct LeaseRecord {
 /// invent events outside it: per the journal version-skew policy, an
 /// unknown event is a lint violation, not something to skip silently.
 bool known_lease_event(const std::string& event);
+
+/// Reconciliation of a lease log — the elastic controller's convergence
+/// claim, checked from its audit trail alone: every chunk a `granted`,
+/// `revoked` or `inprocess` event touched must end `committed`. Chunk -1
+/// (spawn/kill bookkeeping) is not chunk-scoped and never counts.
+struct LeaseAccounting {
+  /// Known events that occurred, in vocabulary order, with their counts.
+  std::vector<std::pair<std::string, std::size_t>> counts;
+  std::vector<int> unaccounted;      // touched, never committed; ascending
+  std::vector<std::string> unknown;  // distinct events outside the vocabulary
+  bool ok() const { return unaccounted.empty() && unknown.empty(); }
+};
+LeaseAccounting reconcile_leases(const std::vector<LeaseRecord>& leases);
 
 class ResultJournal {
  public:

@@ -139,21 +139,19 @@ ElasticReport ElasticController::run() {
   rep.points = pending.size();
 
   // The audit log survives finalize; one file per run, not appended across
-  // runs — journal_status accounts for exactly this invocation.
+  // runs, so `dse_lint --journal` reconciles exactly this invocation. Each
+  // event is durable as it happens: a crashed controller's log ends at the
+  // crash.
   std::remove(lease_log_path(cache_path_).c_str());
-  std::vector<LeaseRecord> lease_log;
-
-  if (pending.empty()) {
-    ResultJournal audit(lease_log_path(cache_path_), header);
-    return rep;
-  }
+  ResultJournal audit(lease_log_path(cache_path_), header);
+  if (pending.empty()) return rep;
 
   LeaseTable table(pending.size(), elastic_);
   rep.chunks = table.chunk_count();
 
-  // Controller journal: in-process fallback rows and the live lease-event
-  // stream. It is the engine journal the resume state opened, so the
-  // finalize pass loads it as its own.
+  // Controller journal: the in-process fallback's rows. It is the engine
+  // journal the resume state opened, so the finalize pass loads it as its
+  // own.
   ResultJournal& journal = *resume.journal;
   verify::arm_journal_corruption(journal);
 
@@ -168,8 +166,7 @@ ElasticReport ElasticController::run() {
       r.end = table.chunk(chunk).end;
     }
     r.detail = detail;
-    lease_log.push_back(r);
-    journal.append_lease(r);
+    audit.append_lease(r);
   };
 
   ProgressReporter progress("elastic sweep", pending.size(), 2.0,
@@ -520,10 +517,6 @@ ElasticReport ElasticController::run() {
     std::remove((worker_cache_path(cache_path_, id) + ".fp").c_str());
 
   rep.wall_s = now();
-
-  // Persist the audit log where finalize cannot delete it.
-  ResultJournal audit(lease_log_path(cache_path_), header);
-  for (const LeaseRecord& r : lease_log) audit.append_lease(r);
 
   if (sweep_.verbose)
     std::fprintf(stderr,

@@ -75,9 +75,9 @@ class ElasticController {
   ElasticReport run();
 
   /// Audit-log sidecar (`<cache>.leases`): every lease event of the last
-  /// run(), in journal format with LEASE records only. Unlike the working
-  /// journals it survives finalize — tools/journal_status.py does its
-  /// lease accounting against it.
+  /// run(), appended as it happens, in journal format with LEASE records
+  /// only. Unlike the working journals it survives finalize — `dse_lint
+  /// --journal` reconciles it.
   static std::string lease_log_path(const std::string& cache_path);
 
  private:

@@ -35,8 +35,8 @@ void write_file(const std::string& path, const std::string& text) {
 const std::vector<std::string> kHeader = {"a", "b", "c"};
 
 TEST(Journal, Fnv1a64MatchesReferenceVectors) {
-  // Published FNV-1a test vectors; external tools (tools/journal_status.py)
-  // recompute these checksums and must agree byte-for-byte.
+  // Published FNV-1a test vectors: the record checksum is the standard
+  // hash, so any reader of the on-disk format can recompute it.
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
@@ -433,6 +433,59 @@ TEST(Journal, LeaseWithMalformedNumericCellsIsDropped) {
   EXPECT_EQ(lr.leases[0].worker, 2);
   EXPECT_EQ(lr.leases[0].end, 4u);
   std::remove(path.c_str());
+}
+
+// ---- reconcile_leases: the lease log's convergence check ------------------
+
+LeaseRecord lease(const char* event, int chunk, int worker = 0) {
+  LeaseRecord r;
+  r.event = event;
+  r.chunk = chunk;
+  r.worker = worker;
+  return r;
+}
+
+TEST(LeaseAccounting, FullyCommittedLogIsOk) {
+  const LeaseAccounting acc = reconcile_leases(
+      {lease("spawned", -1), lease("granted", 0), lease("granted", 1),
+       lease("committed", 1), lease("committed", 0)});
+  EXPECT_TRUE(acc.ok());
+  using Counts = std::vector<std::pair<std::string, std::size_t>>;
+  EXPECT_EQ(acc.counts, (Counts{{"granted", 2}, {"committed", 2},
+                                {"spawned", 1}}));  // vocabulary order
+}
+
+TEST(LeaseAccounting, GrantedButNeverCommittedChunkIsNamed) {
+  const LeaseAccounting acc = reconcile_leases(
+      {lease("granted", 0), lease("granted", 3), lease("committed", 0)});
+  EXPECT_FALSE(acc.ok());
+  EXPECT_EQ(acc.unaccounted, std::vector<int>{3});
+  EXPECT_TRUE(acc.unknown.empty());
+}
+
+TEST(LeaseAccounting, RevokedChunkCommittedInProcessIsOk) {
+  const LeaseAccounting acc = reconcile_leases(
+      {lease("granted", 2), lease("revoked", 2), lease("inprocess", 2, -1),
+       lease("committed", 2, -1)});
+  EXPECT_TRUE(acc.ok());
+  EXPECT_TRUE(acc.unaccounted.empty());
+}
+
+TEST(LeaseAccounting, UnknownEventIsFlagged) {
+  const LeaseAccounting acc = reconcile_leases(
+      {lease("granted", 0), lease("teleported", 0), lease("teleported", 1),
+       lease("committed", 0)});
+  EXPECT_FALSE(acc.ok());
+  EXPECT_EQ(acc.unknown, std::vector<std::string>{"teleported"});
+  EXPECT_TRUE(acc.unaccounted.empty());  // an unknown event touches nothing
+}
+
+TEST(LeaseAccounting, ChunkMinusOneBookkeepingIsIgnored) {
+  const LeaseAccounting acc = reconcile_leases(
+      {lease("spawned", -1, 0), lease("respawned", -1, 1),
+       lease("killed", -1, 0), lease("granted", -1, 1)});
+  EXPECT_TRUE(acc.ok());
+  EXPECT_TRUE(acc.unaccounted.empty());
 }
 
 TEST(Journal, FindRowAndFindFailMatchTheUnlockedViews) {
