@@ -29,10 +29,12 @@ target_link_libraries(dse_loadtest PRIVATE musa_serve)
 add_test(NAME dse_loadtest.usage
   COMMAND sh -c "\"$0\" --socket no.sock --check-regression base.json --out ./base.json; [ $? -eq 2 ] || exit 1; \"$0\" --socket no.sock --check-regression BENCH_sweep.json; [ $? -eq 2 ]"
           $<TARGET_FILE:dse_loadtest>)
-musa_add_bench(ablation_model)
-musa_add_bench(power_report)
-musa_add_bench(dse_report)
 musa_add_bench(dse_figures)
+# An unknown name or a --csv without its directory exits 2 before any
+# figure runs; --help prints the usage and exits 0.
+add_test(NAME dse_figures.usage
+  COMMAND sh -c "\"$0\" no-such-figure; [ $? -eq 2 ] || exit 1; \"$0\" --csv; [ $? -eq 2 ] || exit 1; \"$0\" --help > /dev/null || exit 1; \"$0\" --help | grep -q '|report '"
+          $<TARGET_FILE:dse_figures>)
 # Every paper shape holds on the committed cache, and EXPERIMENTS.md's
 # generated claim blocks are exactly what dse_figures writes (it runs on
 # build-dir copies of both, so nothing in the source tree is touched).

@@ -4,30 +4,46 @@
 // ordering), beside the paper's value. A claim whose band excludes the
 // paper's value is a known deviation; drifting either way fails it.
 //
-// Usage: dse_figures [table1|fig1|...|fig11 ...] [--csv DIR]
-//                    [--experiments FILE]
-// No figure named runs them all. --csv writes every printed table as
-// DIR/<table>.csv; --experiments rewrites FILE's `<!-- dse_figures figN -->`
-// ... `<!-- /dse_figures -->` blocks. Exits 1 if a claim fails, 2 on bad
-// usage. Figs 5-10 read the DSE cache (MUSA_DSE_CACHE, default
-// dse_cache.csv, swept when missing); the rest run the pipeline live.
+// Three more sections check what the paper does not report: `ablation`
+// (the model's own design choices), `power` (node power and area per core
+// class) and `report` (the sweep's Pareto fronts and knees).
+//
+// Usage: dse_figures [table1|fig1|...|fig11|ablation|power|report ...]
+//                    [--csv DIR] [--experiments FILE]
+// No name runs them all; --help prints the usage. --csv writes every
+// printed table as DIR/<table>.csv; --experiments rewrites FILE's
+// `<!-- dse_figures NAME -->` ... `<!-- /dse_figures -->` blocks. Exits 1 if
+// a claim fails, 2 on bad usage. Figs 5-10 and `report` read the DSE cache
+// (MUSA_DSE_CACHE, default dse_cache.csv, swept when missing); the rest run
+// the pipeline live.
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "analysis/pareto.hpp"
 #include "analysis/pca.hpp"
 #include "analysis/timeline.hpp"
+#include "cachesim/hierarchy.hpp"
 #include "common/csv.hpp"
 #include "common/fsio.hpp"
+#include "common/stats.hpp"
+#include "cpusim/core_model.hpp"
+#include "cpusim/runtime.hpp"
+#include "dramsim/dram.hpp"
 #include "fig_common.hpp"
+#include "isa/vector_fusion.hpp"
+#include "netsim/dimemas.hpp"
+#include "powersim/power.hpp"
+#include "trace/kernel.hpp"
 #include "verify/invariants.hpp"
 
 namespace {
@@ -628,14 +644,377 @@ std::vector<Claim> fig11(Figures& f) {
   };
 }
 
+// --- Beyond the paper: the model's own ablations, power and the DSE report.
+constexpr const char kBeyond[] = "beyond the paper";
+
+/// An ordering the paper does not report.
+Claim beyond(Claim c) {
+  c.paper = kBeyond;
+  c.deviation = false;
+  return c;
+}
+
+/// Scaled-down 128-bit detail run mirroring the pipeline's reduced-scale
+/// settings.
+cpusim::CoreStats detail_run(const apps::AppModel& app, bool prefetch) {
+  auto caches = cachesim::cache_32m_256k(1);
+  caches.l1.size_bytes /= 4;
+  caches.l2.size_bytes /= 8;
+  caches.l3.size_bytes = caches.l3.size_bytes / 8 / 40;
+  trace::KernelProfile prof = app.kernel;
+  prof.vec_ws_bytes /= 8;
+  for (auto& s : prof.streams)
+    s.ws_bytes = std::max<std::uint64_t>(256, s.ws_bytes / 8);
+  cachesim::MemHierarchy hierarchy(caches);
+  auto timing = dramsim::ddr4_2333();
+  timing.bytes_per_clock /= 40;
+  dramsim::DramSystem dram(timing, 4);
+  trace::KernelSource src(prof, 480'000, 7919 + 17);
+  // Functional warm-up.
+  isa::Instr in;
+  for (int i = 0; i < 320'000 && src.next(in); ++i)
+    if (isa::is_mem(in.op))
+      hierarchy.access(0, in.addr, in.op == isa::OpClass::kStore);
+  hierarchy.reset_stats();
+  cpusim::CoreModel core(cpusim::core_medium(), {2.0}, hierarchy, dram);
+  return core.run(src, {.vector_bits = 128, .enable_prefetcher = prefetch});
+}
+
+/// (1) Stream prefetcher on/off: strided codes are bandwidth- rather than
+/// latency-bound, the distinction Figs 7 and 8 hinge on.
+std::vector<Claim> ablate_prefetcher(Figures& f) {
+  std::printf("(1) stream prefetcher (medium core, 2 GHz, per-core share)\n");
+  TextTable t({"app", "CPI off", "CPI on", "speed-up from prefetch"});
+  std::map<std::string, double> gain;
+  for (const auto& app : apps::registry()) {
+    const auto off = detail_run(app, false);
+    const auto on = detail_run(app, true);
+    const double cpi_off = off.cycles / off.scalar_instrs;
+    const double cpi_on = on.cycles / on.scalar_instrs;
+    gain[app.name] = cpi_off / cpi_on;
+    t.row().cell(app.name).cell(cpi_off, 3).cell(cpi_on, 3).cell(
+        gain[app.name], 2);
+  }
+  std::printf("%s\n", f.table("ablation_prefetch", t).c_str());
+  const AppFn g = [&](const char* a) { return gain.at(a); };
+  return {
+      band("prefetch speed-up, min but spec3d", min_of(g, "spec3d"), 1.1, 1.2,
+           kBeyond),
+      band("prefetch speed-up, max but spec3d", max_of(g, "spec3d"), 1.5, 1.7,
+           kBeyond),
+      band("spec3d prefetch speed-up", g("spec3d"), 0.98, 1.02, kBeyond),
+  };
+}
+
+/// (2) Vector-fusion window: the paper's SIMD model fuses instructions
+/// "executed several times in a row"; a window shorter than the loop body
+/// never fills a group.
+std::vector<Claim> ablate_fusion_window(Figures& f) {
+  std::printf(
+      "(2) vector-fusion window (spmz, 512-bit): fused fraction vs window\n");
+  const auto& app = apps::find_app("spmz");
+  TextTable t({"window [instrs]", "full groups", "partial flushes",
+               "ops emitted"});
+  std::map<std::uint64_t, isa::FusionStats> at;
+  for (std::uint64_t window : {8ull, 64ull, 512ull, 4096ull, 32768ull}) {
+    trace::KernelSource src(app.kernel, 50'000);
+    isa::VectorFusion fusion(src, 512, 64, window);
+    isa::FusedInstr op;
+    while (fusion.next(op)) {
+    }
+    const isa::FusionStats& s = at[window] = fusion.stats();
+    t.row()
+        .cell(static_cast<long long>(window))
+        .cell(static_cast<long long>(s.full_groups))
+        .cell(static_cast<long long>(s.partial_flushes))
+        .cell(static_cast<long long>(s.out_instrs));
+  }
+  std::printf("%s\n", f.table("ablation_fusion", t).c_str());
+  const auto ops = [&](std::uint64_t w) {
+    return static_cast<double>(at[w].out_instrs);
+  };
+  return {
+      band("full groups at windows 8 and 64",
+           static_cast<double>(
+               std::max(at[8].full_groups, at[64].full_groups)),
+           0, 0, kBeyond),
+      beyond(descending("ops emitted", {"window 8", "window 64", "window 512"},
+                        {ops(8), ops(64), ops(512)})),
+      band("ops emitted, window 32768 over 512", ops(32768) / ops(512), 1, 1,
+           kBeyond),
+  };
+}
+
+/// (3) Runtime scheduler policy: FIFO vs LPT vs SPT on each app's region at
+/// 64 cores (the imbalance tolerance of the simulated runtime).
+std::vector<Claim> ablate_scheduler(Figures& f) {
+  std::printf("(3) runtime scheduler policy (64 cores, region makespan)\n");
+  TextTable t({"app", "fifo [ms]", "lpt [ms]", "spt [ms]", "lpt gain"});
+  const std::vector<cpusim::TaskTiming> timing = {
+      {.seconds_per_work = 20e-6, .mem_stall_frac = 0.0, .dram_gbps = 0.0}};
+  std::map<std::string, double> gain;
+  for (const auto& app : apps::registry()) {
+    const trace::Region region = apps::make_region(app);
+    cpusim::RuntimeSim sim;
+    double results[3] = {};
+    int i = 0;
+    for (auto policy : {cpusim::SchedPolicy::kFifo, cpusim::SchedPolicy::kLpt,
+                        cpusim::SchedPolicy::kSpt}) {
+      cpusim::RuntimeConfig cfg;
+      cfg.cores = 64;
+      cfg.dispatch_overhead_s = app.dispatch_overhead_s;
+      cfg.policy = policy;
+      results[i++] = sim.run(region, timing, cfg).seconds;
+    }
+    gain[app.name] = results[0] / results[1];
+    t.row()
+        .cell(app.name)
+        .cell(results[0] * 1e3, 3)
+        .cell(results[1] * 1e3, 3)
+        .cell(results[2] * 1e3, 3)
+        .cell(gain[app.name], 3);
+  }
+  std::printf("%s\n", f.table("ablation_scheduler", t).c_str());
+  const AppFn g = [&](const char* a) { return gain.at(a); };
+  return {
+      band("LPT gain over FIFO, min", min_of(g), 1.0, 1.05, kBeyond),
+      band("LPT gain over FIFO, max", max_of(g), 1.25, 1.35, kBeyond),
+  };
+}
+
+/// (4) Network topology on the full-application wall time: the paper's
+/// "raw message passing is a minor overhead" holds only on an adequate
+/// network.
+std::vector<Claim> ablate_topology(Figures& f) {
+  std::printf("(4) network topology (full app, 256 ranks x 64 cores)\n");
+  TextTable t({"app", "crossbar [ms]", "fat-tree [ms]", "torus2d [ms]",
+               "bus [ms]"});
+  std::map<std::string, std::array<double, 4>> wall;
+  for (const auto& app : apps::registry()) {
+    t.row().cell(app.name);
+    int i = 0;
+    for (auto topo : {netsim::Topology::kCrossbar, netsim::Topology::kFatTree,
+                      netsim::Topology::kTorus2D, netsim::Topology::kBus}) {
+      core::PipelineOptions opts;
+      opts.network.topology = topo;
+      core::Pipeline pipeline(opts);
+      const core::BurstResult r = pipeline.run_burst(app, 64, 256);
+      wall[app.name][i++] = r.wall_seconds;
+      t.cell(r.wall_seconds * 1e3, 2);
+    }
+  }
+  std::printf("%s\n", f.table("ablation_topology", t).c_str());
+  const AppFn direct = [&](const char* a) {  // fat-tree, torus over crossbar
+    return std::max(wall[a][1], wall[a][2]) / wall[a][0];
+  };
+  const AppFn torus = [&](const char* a) { return wall[a][2] / wall[a][0]; };
+  const AppFn bus = [&](const char* a) { return wall[a][3] / wall[a][0]; };
+  std::printf(
+      "On crossbar/fat-tree/torus the wall times of every app but lulesh\n"
+      "stay within %.0f%% of each other — transfer is a minor overhead, as\n"
+      "the paper observes on MareNostrum. lulesh's torus run is %.2fx the\n"
+      "crossbar's. A single shared bus serialises the halo exchange (at\n"
+      "least %.1fx the crossbar).\n",
+      100 * (max_of(direct, "lulesh") - 1), torus("lulesh"), min_of(bus));
+  return {
+      band("fat-tree/torus over crossbar, max but lulesh",
+           max_of(direct, "lulesh"), 1.0, 1.15, kBeyond),
+      band("lulesh torus over crossbar", torus("lulesh"), 1.25, 1.45,
+           kBeyond),
+      band("bus over crossbar, min", min_of(bus), 2.2, 3.0, kBeyond),
+  };
+}
+
+std::vector<Claim> ablation(Figures& f) {
+  std::printf("MUSA-DSE model ablations\n\n");
+  std::vector<Claim> claims;
+  for (const auto& part : {ablate_prefetcher, ablate_fusion_window,
+                           ablate_scheduler, ablate_topology})
+    std::ranges::move(part(f), std::back_inserter(claims));
+  return claims;
+}
+
+/// McPAT-style breakdown of the four Table I core classes at two vector
+/// widths: power per component, silicon area, and the leakage that makes
+/// idle cores expensive (the paper's §VII co-design conclusion).
+std::vector<Claim> power(Figures& f) {
+  std::printf(
+      "Node power & area report (64 cores, 2 GHz, 32M:256K, 4ch DDR4)\n\n");
+  TextTable t({"core", "vector", "core mm2", "L2+L3 mm2", "leak W/core",
+               "node W (btmz)", "node W (idle)"});
+  const auto& app = apps::find_app("btmz");
+  std::vector<double> idle_share, leak128;
+  for (const auto& preset : cpusim::core_presets()) {
+    for (int vec : {128, 512}) {
+      core::MachineConfig config;
+      config.core = preset;
+      config.vector_bits = vec;
+      config.cores = 64;
+      const core::SimResult r = f.pipeline.run(app, config);
+
+      const powersim::CorePower cp(preset, vec, 2.0);
+      const powersim::CachePower gp(config.cache_config(64), 2.0);
+      powersim::NodeActivity idle;
+      idle.total_cores = 64;
+      const double idle_w = cp.evaluate_w(idle) + gp.evaluate_w(idle);
+      idle_share.push_back(idle_w / r.node_w);
+      if (vec == 128) leak128.push_back(cp.core_leakage_w());
+
+      t.row()
+          .cell(preset.label)
+          .cell(std::to_string(vec) + "b")
+          .cell(cp.core_area_mm2(), 1)
+          .cell(gp.area_mm2(64), 0)
+          .cell(cp.core_leakage_w(), 2)
+          .cell(r.node_w, 1)
+          .cell(idle_w, 1);
+    }
+  }
+  std::printf("%s\n", f.table("power", t).c_str());
+  const double lo = std::ranges::min(idle_share);
+  const double hi = std::ranges::max(idle_share);
+  std::printf(
+      "The idle column is pure leakage: a node that schedules poorly (few\n"
+      "busy cores) still burns that floor, %.2f-%.2f of the busy btmz node\n"
+      "— the paper's argument that parallel efficiency is an energy\n"
+      "problem, not just a speed one.\n",
+      lo, hi);
+  // core_presets() order is aggressive, lowend, high, medium.
+  return {
+      band("idle over btmz node power, min", lo, 0.45, 0.55, kBeyond),
+      band("idle over btmz node power, max", hi, 0.6, 0.75, kBeyond),
+      beyond(descending("128b leakage per core",
+                        {"aggressive", "high", "medium", "lowend"},
+                        {leak128[0], leak128[2], leak128[3], leak128[1]})),
+  };
+}
+
+/// Distils the 864-configuration sweep into the paper's §VII conclusions:
+/// per application, the fastest, the least-energy and the balanced (knee)
+/// point of the (time, energy) Pareto front at 64 cores.
+std::vector<Claim> report(Figures& f) {
+  std::printf("DSE report: 864 configurations x 5 applications\n\n");
+  // The speed-up of the fastest design over the slowest is the value of
+  // exploring the space at all; the geometric mean summarises it across
+  // apps, as the only mean that commutes with ratios.
+  std::vector<double> speedups;
+  std::map<std::string, const core::SimResult*> knee_of;
+  for (const auto& app : apps::registry()) {
+    std::vector<analysis::CostPoint> points;
+    std::vector<const core::SimResult*> rows;
+    for (const auto& r : f.dse.results()) {
+      if (r.app != app.name || r.config.cores != 64 || !r.dram_power_known)
+        continue;
+      points.push_back({r.region_seconds, r.node_w * r.region_seconds,
+                        rows.size()});
+      rows.push_back(&r);
+    }
+    const auto front = analysis::pareto_front(points);
+
+    const auto* fastest = rows[front.front().tag];
+    const auto* frugal = rows[front.back().tag];
+    // Knee: minimum normalised distance to the utopia corner.
+    const double tmin = front.front().x, emin = front.back().y;
+    const analysis::CostPoint* knee = &front.front();
+    double best = 1e300;
+    for (const auto& p : front) {
+      const double d = (p.x / tmin - 1.0) + (p.y / emin - 1.0);
+      if (d < best) {
+        best = d;
+        knee = &p;
+      }
+    }
+    knee_of[app.name] = rows[knee->tag];
+
+    std::printf("--- %s: %zu points, Pareto front of %zu ---\n",
+                app.name.c_str(), points.size(), front.size());
+    TextTable t({"pick", "config", "region ms", "energy J"});
+    const auto add = [&](const char* label, const core::SimResult* r) {
+      t.row()
+          .cell(label)
+          .cell(r->config.id())
+          .cell(r->region_seconds * 1e3, 3)
+          .cell(r->node_w * r->region_seconds, 3);
+    };
+    add("fastest", fastest);
+    add("balanced", knee_of[app.name]);
+    add("least energy", frugal);
+    std::printf("%s\n", f.table("report_" + app.name, t).c_str());
+
+    double slowest = 0.0;
+    for (const auto* r : rows)
+      slowest = std::max(slowest, r->region_seconds);
+    speedups.push_back(fastest->region_seconds > 0.0
+                           ? slowest / fastest->region_seconds
+                           : 0.0);
+  }
+
+  // An app whose fastest point has a zero region time contributes a 0
+  // ratio, which geomean() skips and counts instead of poisoning the mean.
+  std::size_t skipped = 0;
+  const double gm = geomean(speedups, &skipped);
+  std::printf(
+      "design-space leverage: geomean %.2fx speedup of the fastest\n"
+      "64-core design over the slowest, across %zu application(s)%s\n\n",
+      gm, speedups.size() - skipped,
+      skipped > 0 ? " (degenerate apps skipped)" : "");
+
+  // The apps whose knee satisfies `pick`, in registry order.
+  const auto knees = [&](const std::function<bool(const core::SimResult&)>&
+                             pick) {
+    std::string out;
+    for (const auto& app : apps::registry())
+      if (pick(*knee_of.at(app.name)))
+        out += (out.empty() ? "" : ", ") + app.name;
+    return out.empty() ? std::string("none") : out;
+  };
+  const std::string mid_core = knees([](const core::SimResult& r) {
+    return r.config.core.label == "medium" || r.config.core.label == "high";
+  });
+  const std::string big_cache = knees([](const core::SimResult& r) {
+    return r.config.cache_label == "96M:1M";
+  });
+  const std::string narrow = knees([](const core::SimResult& r) {
+    return r.config.vector_bits == 128;
+  });
+  const std::string eight = knees([](const core::SimResult& r) {
+    return r.config.mem_channels == 8;
+  });
+  std::printf(
+      "Paper §VII cross-check (the paper recommends moderate OoO cores,\n"
+      "512 kB-1 MB of cache per core, wide vectors where SIMD parallelism\n"
+      "exists and extra channels for bandwidth-bound codes). Knees on:\n"
+      "  a medium or high OoO core: %s\n"
+      "  the 96M:1M cache:          %s\n"
+      "  128-bit vectors:           %s\n"
+      "  8 memory channels:         %s\n",
+      mid_core.c_str(), big_cache.c_str(), narrow.c_str(), eight.c_str());
+  const auto same = [](std::string what, const std::string& measured,
+                       std::string expected) {
+    const bool holds = measured == expected;
+    return Claim{std::move(what), measured, std::move(expected), kBeyond,
+                 holds, false};
+  };
+  return {
+      band("design-space leverage, geomean", gm, 3.5, 5, kBeyond),
+      same("knees on a medium or high core", mid_core,
+           "hydro, spmz, btmz, spec3d, lulesh"),
+      same("knees on the 96M:1M cache", big_cache, "spmz, btmz, lulesh"),
+      same("knees on 128-bit vectors", narrow, "lulesh"),
+      same("knees on 8 channels", eight, "spmz, lulesh"),
+  };
+}
+
 struct Figure {
   const char* name;
   std::vector<Claim> (*run)(Figures&);
 };
 constexpr Figure kFigures[] = {
-    {"table1", table1}, {"fig1", fig1}, {"fig2", fig2},   {"fig3", fig3},
-    {"fig4", fig4},     {"fig5", fig5}, {"fig6", fig6},   {"fig7", fig7},
-    {"fig8", fig8},     {"fig9", fig9}, {"fig10", fig10}, {"fig11", fig11}};
+    {"table1", table1}, {"fig1", fig1},         {"fig2", fig2},
+    {"fig3", fig3},     {"fig4", fig4},         {"fig5", fig5},
+    {"fig6", fig6},     {"fig7", fig7},         {"fig8", fig8},
+    {"fig9", fig9},     {"fig10", fig10},       {"fig11", fig11},
+    {"ablation", ablation}, {"power", power},   {"report", report}};
 
 /// Replaces the body of each `<!-- dse_figures NAME -->` ...
 /// `<!-- /dse_figures -->` block of `path` with blocks[NAME].
@@ -658,20 +1037,26 @@ void rewrite_blocks(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string usage = "usage: dse_figures [";
+  for (const Figure& fig : kFigures)
+    usage += std::string(&fig == kFigures ? "" : "|") + fig.name;
+  usage += " ...] [--csv DIR] [--experiments FILE]\n";
+
   Figures f;
   std::string experiments;
   std::vector<const Figure*> figures;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const Figure* fig = std::ranges::find(kFigures, arg, &Figure::name);
-    if ((arg == "--csv" || arg == "--experiments") && i + 1 < argc) {
+    if (arg == "--help") {
+      std::fputs(usage.c_str(), stdout);
+      return 0;
+    } else if ((arg == "--csv" || arg == "--experiments") && i + 1 < argc) {
       (arg == "--csv" ? f.csv_dir : experiments) = argv[++i];
     } else if (fig != std::end(kFigures)) {
       figures.push_back(fig);
     } else {
-      std::fprintf(stderr,
-                   "usage: dse_figures [table1|fig1|...|fig11 ...] "
-                   "[--csv DIR] [--experiments FILE]\n");
+      std::fputs(usage.c_str(), stderr);
       return 2;
     }
   }

@@ -32,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fsio.hpp"
 #include "common/parse.hpp"
 #include "core/dse.hpp"
 #include "fig_common.hpp"
@@ -226,23 +227,12 @@ bool parse_serve_baseline(const std::string& text, const char* field,
   return true;
 }
 
-std::string read_text(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return {};
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return text;
-}
-
 /// Merges `serve_entry` (a JSON object body) into `path` as the root's
 /// "serve" member, replacing any previous one; the entry is always the
 /// last key, which is what lets this truncate-and-append stay simple.
 bool merge_serve_entry(const std::string& path,
                        const std::string& serve_entry) {
-  std::string text = read_text(path);
+  std::string text = musa::read_file_from(path, 0);  // "" if missing
   const std::size_t old = text.find(",\n  \"serve\": {");
   if (old != std::string::npos) {
     text.erase(old);
@@ -482,7 +472,7 @@ int main(int argc, char** argv) {
 
   if (!baseline_path.empty()) {
     double base_p95 = 0.0;
-    if (!parse_serve_baseline(read_text(baseline_path), "p95_us",
+    if (!parse_serve_baseline(musa::read_file_from(baseline_path, 0), "p95_us",
                               &base_p95)) {
       std::printf("regression check: baseline %s has no serve entry — "
                   "skipped\n",

@@ -1,6 +1,6 @@
 // Shared plumbing for the bench drivers (run_dse, sweep_bench, dse_lint,
-// dse_loadtest, dse_report, dse_figures): the DSE cache location and the
-// fixed 24-point bench sweep.
+// dse_loadtest, dse_figures): the DSE cache location and the fixed
+// 24-point bench sweep.
 #pragma once
 
 #include <cstdio>

@@ -238,13 +238,7 @@ bool parse_baseline(const std::string& path, double& points_per_s,
 /// does not erase the serving-latency numbers. Returns the flat
 /// "{...}" object text, or "" when the file has none.
 std::string read_serve_entry(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return {};
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
+  const std::string text = musa::read_file_from(path, 0);  // "" if missing
   const std::size_t start = text.find("\"serve\": {");
   if (start == std::string::npos) return {};
   const std::size_t open = text.find('{', start);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/check.hpp"
-
 namespace musa::analysis {
 
 std::vector<CostPoint> pareto_front(std::vector<CostPoint> points) {
@@ -44,21 +42,6 @@ std::vector<CostBound> prune_dominated(const std::vector<CostPoint>& front,
     if (!dominated) kept.push_back(c);
   }
   return kept;
-}
-
-double hypervolume(const std::vector<CostPoint>& front, double ref_x,
-                   double ref_y) {
-  if (front.empty()) return 0.0;
-  // Front is sorted by ascending x / descending y (pareto_front output).
-  double volume = 0.0;
-  double prev_x = ref_x;
-  for (auto it = front.rbegin(); it != front.rend(); ++it) {
-    MUSA_CHECK_MSG(it->x <= ref_x && it->y <= ref_y,
-                   "reference point must dominate no front point");
-    volume += (prev_x - it->x) * (ref_y - it->y);
-    prev_x = it->x;
-  }
-  return volume;
 }
 
 }  // namespace musa::analysis

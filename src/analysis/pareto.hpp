@@ -20,11 +20,6 @@ struct CostPoint {
 /// strictly < in at least one.
 std::vector<CostPoint> pareto_front(std::vector<CostPoint> points);
 
-/// Hypervolume indicator of a front w.r.t. a reference (worst-corner)
-/// point: the area dominated by the front. Larger = better frontier.
-double hypervolume(const std::vector<CostPoint>& front, double ref_x,
-                   double ref_y);
-
 /// Proven lower bounds on both costs over a *region* of the design space
 /// (e.g. verify::MetricBounds::min_time_s over an analyzer box): every
 /// achievable point in the region has x >= x_lo and y >= y_lo.

@@ -11,14 +11,12 @@
 #include <io.h>
 #define musa_fileno _fileno
 #define musa_fsync _commit
-#define musa_stat _stat64
 #define musa_fstat _fstat64
 using musa_stat_t = struct ::_stat64;
 #else
 #include <unistd.h>
 #define musa_fileno fileno
 #define musa_fsync fsync
-#define musa_stat stat
 #define musa_fstat fstat
 using musa_stat_t = struct ::stat;
 #endif
@@ -61,12 +59,6 @@ FileStamp stamp_from(const musa_stat_t& st) {
   return s;
 }
 }  // namespace
-
-FileStamp stat_file(const std::string& path) {
-  musa_stat_t st{};
-  if (musa_stat(path.c_str(), &st) != 0) return {};
-  return stamp_from(st);
-}
 
 std::string read_file_from(const std::string& path, std::uint64_t offset,
                            FileStamp* stamp) {

@@ -25,9 +25,6 @@ struct FileStamp {
   std::uint64_t size = 0;
 };
 
-/// Stamps `path` without opening it; `exists == false` when absent.
-FileStamp stat_file(const std::string& path);
-
 /// Reads `path` from byte `offset` to EOF. When `stamp` is non-null it is
 /// filled from the *open* handle (fstat), so identity and content are a
 /// consistent snapshot — the caller can detect that the file it read is not

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.hpp"
-
 namespace musa {
 
 void RunningStats::add(double x) {
@@ -59,16 +57,6 @@ double geomean(const std::vector<double>& xs, std::size_t* skipped) {
   }
   if (n == 0) return 0.0;
   return std::exp(log_sum / static_cast<double>(n));
-}
-
-double geomean_strict(const std::vector<double>& xs) {
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    if (!(xs[i] > 0.0))
-      throw SimError("geomean_strict: sample " + std::to_string(i) + " is " +
-                         std::to_string(xs[i]) +
-                         " (every sample must be positive)",
-                     ErrorClass::kConfig);
-  return geomean(xs);
 }
 
 double mean(const std::vector<double>& xs) {

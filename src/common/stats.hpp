@@ -43,14 +43,8 @@ class RunningStats {
 /// entries have no defined log and are skipped (counted into *skipped when
 /// provided) instead of silently poisoning the result with NaN/-inf — the
 /// bug this signature replaces. Returns 0 when no positive entry remains.
-/// Callers aggregating ratios that must all be positive (speedups,
-/// normalised energies) should prefer geomean_strict.
 double geomean(const std::vector<double>& xs,
                std::size_t* skipped = nullptr);
-
-/// Throwing variant: any non-positive or NaN entry raises
-/// SimError{config} naming the offending index and value.
-double geomean_strict(const std::vector<double>& xs);
 
 /// Arithmetic mean; returns 0 if empty.
 double mean(const std::vector<double>& xs);
@@ -59,10 +53,5 @@ double mean(const std::vector<double>& xs);
 /// samples — the same convention as RunningStats::stddev, so the two are
 /// interchangeable at every n.
 double stddev(const std::vector<double>& xs);
-
-/// Parallel efficiency: speedup / ideal speedup.
-inline double parallel_efficiency(double speedup, int cores) {
-  return cores > 0 ? speedup / static_cast<double>(cores) : 0.0;
-}
 
 }  // namespace musa

@@ -28,12 +28,6 @@ struct Frequency {
   constexpr double cycles_to_seconds(double cycles) const {
     return cycles / hz();
   }
-  constexpr double seconds_to_cycles(double seconds) const {
-    return seconds * hz();
-  }
 };
-
-/// Bandwidth helper: bytes over seconds, reported in GB/s (1e9 bytes/s).
-constexpr double bytes_per_s_to_gbps(double bps) { return bps / 1e9; }
 
 }  // namespace musa

@@ -8,15 +8,6 @@
 
 namespace musa::verify {
 
-const char* tri_name(Tri t) {
-  switch (t) {
-    case Tri::kSat: return "sat";
-    case Tri::kViolated: return "violated";
-    case Tri::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
 Box Box::full(const core::SpaceAxes& axes) {
   Box b;
   for (int d = 0; d < core::SpaceAxes::kDims; ++d) {
@@ -33,12 +24,6 @@ std::uint64_t Box::points() const {
     n *= static_cast<std::uint64_t>(end[d] - begin[d]);
   }
   return n;
-}
-
-bool Box::contains(const std::array<int, core::SpaceAxes::kDims>& idx) const {
-  for (int d = 0; d < core::SpaceAxes::kDims; ++d)
-    if (idx[d] < begin[d] || idx[d] >= end[d]) return false;
-  return true;
 }
 
 std::string Box::str() const {

@@ -43,8 +43,6 @@ namespace musa::verify {
 /// Three-valued abstract verdict.
 enum class Tri : std::uint8_t { kSat, kViolated, kUnknown };
 
-const char* tri_name(Tri t);
-
 /// A hyper-rectangle of a SpaceAxes grid: per-dimension half-open index
 /// ranges [begin, end) into the axis value lists.
 struct Box {
@@ -56,7 +54,6 @@ struct Box {
 
   int width(int dim) const { return end[dim] - begin[dim]; }
   std::uint64_t points() const;
-  bool contains(const std::array<int, core::SpaceAxes::kDims>& idx) const;
 
   /// "core[0,4) cache[1,2) ..." — only non-full dims when `axes` given.
   std::string str() const;

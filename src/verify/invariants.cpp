@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <map>
 #include <utility>
 
@@ -160,16 +159,6 @@ std::vector<Violation> check_result(const core::SimResult& r) {
 
 void verify_result(const core::SimResult& r) {
   raise_if(check_result(r), ErrorClass::kInvariant);
-}
-
-std::vector<Violation> check_results(const std::vector<core::SimResult>& rs) {
-  std::vector<Violation> out;
-  for (const auto& r : rs) {
-    std::vector<Violation> v = check_result(r);
-    out.insert(out.end(), std::make_move_iterator(v.begin()),
-               std::make_move_iterator(v.end()));
-  }
-  return out;
 }
 
 std::vector<Violation> check_core_timeline(

@@ -29,9 +29,6 @@ std::vector<Violation> check_result(const core::SimResult& r);
 /// Throws SimError naming the offending point on any violation.
 void verify_result(const core::SimResult& r);
 
-/// Lints a whole result set (a loaded cache); returns every violation.
-std::vector<Violation> check_results(const std::vector<core::SimResult>& rs);
-
 /// Node-level task timeline sanity (Fig. 3 input): segments are
 /// time-ordered (start <= end), inside [0, makespan], on a valid core.
 std::vector<Violation> check_core_timeline(

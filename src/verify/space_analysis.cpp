@@ -93,13 +93,6 @@ AnalysisReport analyze(const core::SpaceAxes& axes, AnalysisOptions opts) {
   return report;
 }
 
-BoxClass classify_point(const AnalysisReport& report,
-                        const std::array<int, SpaceAxes::kDims>& idx) {
-  for (const auto& leaf : report.boxes)
-    if (leaf.box.contains(idx)) return leaf.cls;
-  throw SimError("space analysis: point not covered by the partition");
-}
-
 std::vector<std::uint64_t> feasible_indices(const core::SpaceAxes& axes,
                                             const AnalysisReport& report) {
   std::vector<std::uint64_t> out;

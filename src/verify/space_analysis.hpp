@@ -73,11 +73,6 @@ struct AnalysisReport {
 /// proportional to the point count.
 AnalysisReport analyze(const core::SpaceAxes& axes, AnalysisOptions opts = {});
 
-/// Classification of one point per the partition (linear scan over leaves;
-/// meant for tests and spot queries, not bulk enumeration).
-BoxClass classify_point(const AnalysisReport& report,
-                        const std::array<int, core::SpaceAxes::kDims>& idx);
-
 /// Row-major linear indices of every feasible point, sorted ascending — the
 /// enumeration order of the grid, so a plan built from these matches the
 /// order a pointwise enumeration would produce (for the paper axes:

@@ -116,19 +116,6 @@ TEST(Pareto, DuplicateCoordinatesKeepOne) {
   EXPECT_EQ(front.size(), 1u);
 }
 
-TEST(Pareto, HypervolumeOfKnownFront) {
-  // Front {(1,3),(2,1)}, reference (4,4):
-  // rectangles: (4-2)x(4-1)=6 plus (2-1)x(4-3)=1 -> 7.
-  const auto front = pareto_front({{1.0, 3.0, 0}, {2.0, 1.0, 1}});
-  EXPECT_DOUBLE_EQ(hypervolume(front, 4.0, 4.0), 7.0);
-  EXPECT_DOUBLE_EQ(hypervolume({}, 4.0, 4.0), 0.0);
-}
-
-TEST(Pareto, HypervolumeRejectsBadReference) {
-  const auto front = pareto_front({{2.0, 2.0, 0}});
-  EXPECT_THROW(hypervolume(front, 1.0, 1.0), SimError);
-}
-
 TEST(Pareto, PrunesRegionsThatCannotImproveTheFront) {
   // Front {(1,3),(2,1)}. A region whose best corner is dominated (or merely
   // matched) by a front point is pruned; a corner strictly better in either

@@ -113,21 +113,6 @@ TEST(Stats, GeomeanSkipsNonPositiveEntriesWithCount) {
   EXPECT_EQ(skipped, 2u);
 }
 
-TEST(Stats, GeomeanStrictThrowsOnNonPositive) {
-  EXPECT_NEAR(geomean_strict({2.0, 8.0}), 4.0, 1e-12);
-  try {
-    geomean_strict({2.0, 0.0, 8.0});
-    FAIL() << "expected SimError";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.error_class(), ErrorClass::kConfig);
-    // The message names the offending index so the caller can find the
-    // degenerate ratio in its input.
-    EXPECT_NE(std::string(e.what()).find("sample 1"), std::string::npos);
-  }
-  EXPECT_THROW(geomean_strict({-1.0}), SimError);
-  EXPECT_THROW(geomean_strict({std::nan("")}), SimError);
-}
-
 TEST(Stats, StddevSingleSampleIsZeroLikeRunningStats) {
   // n == 1 must agree between the free function and the accumulator:
   // zero spread, not NaN from the n-1 denominator.
@@ -184,7 +169,7 @@ TEST(RunningStats, MergeOfRandomSplitsMatchesWholeVector) {
 
 TEST(Units, FrequencyRoundTrip) {
   Frequency f{2.5};
-  EXPECT_NEAR(f.cycles_to_seconds(f.seconds_to_cycles(1.25)), 1.25, 1e-12);
+  EXPECT_NEAR(f.cycles_to_seconds(2.5e9), 1.0, 1e-12);
   EXPECT_NEAR(f.period_ns(), 0.4, 1e-12);
 }
 

@@ -1,7 +1,10 @@
 // Unit tests for the simulated runtime system (task scheduling).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "cpusim/runtime.hpp"
 #include "trace/region.hpp"
 
@@ -216,6 +219,55 @@ TEST_P(CoreCountSweep, EfficiencyNeverExceedsOne) {
 
 INSTANTIATE_TEST_SUITE_P(Cores, CoreCountSweep,
                          ::testing::Values(1, 2, 8, 32, 64, 128));
+
+// ---- Property-based fuzz: random DAGs through the scheduler --------------
+//
+// For any DAG and any core count, the makespan must satisfy the classic
+// list-scheduling bounds: at least max(critical path, total work / cores),
+// at most total work (+ the 2-approximation bound for safety margins).
+class DagFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DagFuzz, MakespanWithinListSchedulingBounds) {
+  Rng rng(GetParam());
+  trace::Region region;
+  const int tasks = 20 + static_cast<int>(rng.next_below(120));
+  std::vector<double> path(tasks, 0.0);  // longest path ending at i (seconds)
+  double critical = 0.0, total = 0.0;
+  for (int i = 0; i < tasks; ++i) {
+    trace::TaskInstance t;
+    t.type = 0;
+    t.work = 0.5 + rng.next_double() * 4.0;
+    double longest = 0.0;
+    if (i > 0) {
+      const int deps = static_cast<int>(rng.next_below(3));
+      for (int d = 0; d < deps; ++d) {
+        const auto dep = static_cast<std::int32_t>(rng.next_below(i));
+        if (std::find(t.deps.begin(), t.deps.end(), dep) == t.deps.end()) {
+          t.deps.push_back(dep);
+          longest = std::max(longest, path[dep]);
+        }
+      }
+    }
+    path[i] = longest + t.work * 1e-6;
+    critical = std::max(critical, path[i]);
+    total += t.work * 1e-6;
+    region.tasks.push_back(std::move(t));
+  }
+
+  RuntimeSim sim;
+  for (int n : {1, 3, 8, 32}) {
+    const auto out = sim.run(region, kUnitTiming, cores(n));
+    const double lower = std::max(critical, total / n);
+    EXPECT_GE(out.seconds, lower * 0.999) << "cores=" << n;
+    EXPECT_LE(out.seconds, total * 1.001) << "cores=" << n;
+    // Graham's bound for list scheduling: <= work/cores + critical path.
+    EXPECT_LE(out.seconds, total / n + critical + 1e-12) << "cores=" << n;
+    EXPECT_NEAR(out.busy_seconds, total, 1e-9);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DagFuzz,
+                         ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
 
 }  // namespace
 }  // namespace musa::cpusim

@@ -329,15 +329,6 @@ TEST(ResultInvariants, VerifyResultThrowsNamingThePoint) {
   }
 }
 
-TEST(ResultInvariants, CheckResultsAggregatesOverTheSet) {
-  std::vector<core::SimResult> rs(3, consistent_result());
-  rs[1].ipc = std::numeric_limits<double>::quiet_NaN();
-  rs[2].energy_j = -5.0;
-  const auto v = check_results(rs);
-  EXPECT_RULE(v, "result.finite");
-  EXPECT_RULE(v, "result.nonnegative");
-}
-
 // ---------------------------------------------------------------------------
 // Timeline checks (figure 3/4 inputs).
 
