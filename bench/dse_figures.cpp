@@ -654,25 +654,21 @@ Claim beyond(Claim c) {
   return c;
 }
 
-/// Scaled-down 128-bit detail run mirroring the pipeline's reduced-scale
-/// settings.
+/// 128-bit detail run of one core's 1/40 share of the node, at the
+/// pipeline's reduced scale (core::scale_caches / core::scale_profile).
 cpusim::CoreStats detail_run(const apps::AppModel& app, bool prefetch) {
-  auto caches = cachesim::cache_32m_256k(1);
-  caches.l1.size_bytes /= 4;
-  caches.l2.size_bytes /= 8;
-  caches.l3.size_bytes = caches.l3.size_bytes / 8 / 40;
-  trace::KernelProfile prof = app.kernel;
-  prof.vec_ws_bytes /= 8;
-  for (auto& s : prof.streams)
-    s.ws_bytes = std::max<std::uint64_t>(256, s.ws_bytes / 8);
-  cachesim::MemHierarchy hierarchy(caches);
+  const core::PipelineOptions scale;
+  constexpr int kCoresSharing = 40;
+  cachesim::MemHierarchy hierarchy(core::scale_caches(
+      cachesim::cache_32m_256k(1), scale.cache_scale, 1.0 / kCoresSharing));
   auto timing = dramsim::ddr4_2333();
-  timing.bytes_per_clock /= 40;
+  timing.bytes_per_clock /= kCoresSharing;
   dramsim::DramSystem dram(timing, 4);
-  trace::KernelSource src(prof, 480'000, 7919 + 17);
+  trace::KernelSource src(core::scale_profile(app.kernel, scale.cache_scale),
+                          480'000, 7919 + 17);
   // Functional warm-up.
   isa::Instr in;
-  for (int i = 0; i < 320'000 && src.next(in); ++i)
+  for (std::uint64_t i = 0; i < scale.warm_instrs && src.next(in); ++i)
     if (isa::is_mem(in.op))
       hierarchy.access(0, in.addr, in.op == isa::OpClass::kStore);
   hierarchy.reset_stats();

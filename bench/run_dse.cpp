@@ -24,11 +24,13 @@
 // (default `<cache>.metrics.json` when tracing) writes the flat metric
 // snapshot, and a one-screen summary table prints at exit.
 //
-// Elastic sweeps (DESIGN.md §7h): `--workers N` runs a controller that
+// Elastic sweeps (DESIGN.md §7h): `--workers N` hands the sweep's missing
+// points to the elastic lease loop instead of the in-process scheduler. It
 // forks N worker processes, leases them bounded point chunks, and
 // revokes/re-leases on death, hang, or straggle. Chunks commit only on
 // durable journal coverage, so kill -9 of any worker at any time still
-// converges to the byte-identical cache.
+// converges to the byte-identical cache. Either way the one DseEngine
+// resumes once and finalizes once.
 //
 // Usage: run_dse [--force] [--workers N] [--lease-points K]
 //                [--heartbeat-ms MS] [--straggler-factor F] [--no-verify]
@@ -76,6 +78,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -447,12 +450,7 @@ int main(int argc, char** argv) {
                  "neither — run without it\n");
     return 2;
   }
-  // The elastic finalize pass never retries FAIL rows: a --retry-failed
-  // elastic run already handed the quarantined keys back to the workers,
-  // so retrying again in-process would compute them a third time.
-  core::SweepOptions finalize_opts = opts;
-  if (elastic_run) finalize_opts.retry_failed = false;
-  core::DseEngine dse(pipeline, bench::dse_cache_path(), finalize_opts);
+  core::DseEngine dse(pipeline, bench::dse_cache_path(), opts);
 
   if (bench_sweep)
     std::printf("MUSA-DSE bench sweep (24 configs x 1 app = 24 points)\n");
@@ -481,22 +479,14 @@ int main(int argc, char** argv) {
 
   core::SweepReport rep;
   try {
-    if (elastic_run) {
-      // Lease phase first: workers resolve every pending key into durable
-      // journal rows. --force must discard *before* the controller runs or
-      // the finalize sweep would throw the workers' journals away.
-      if (force) dse.clear_cache();
-      elastic.trace_path = trace_out;
-      sweep::ElasticController controller(pipeline, bench::dse_cache_path(),
-                                          opts, elastic);
-      print_elastic(controller.run());
-      // Finalize: a plain in-process sweep merges the worker journals,
-      // recomputes any residue, and writes the cache — the same authority
-      // a fault-free single-process run ends with.
-      rep = dse.sweep(/*force=*/false);
-    } else {
-      rep = dse.sweep(force);
-    }
+    elastic.trace_path = trace_out;
+    std::optional<sweep::ElasticController> controller;
+    if (elastic_run)
+      controller.emplace(pipeline, bench::dse_cache_path(), opts, elastic);
+    sweep::ElasticReport lease;
+    rep = dse.sweep(force, controller ? controller->executor(&lease)
+                                      : core::SweepExecutor{});
+    if (controller) print_elastic(lease);
   } catch (const SimError& e) {
     std::fprintf(stderr, "sweep aborted%s: %s\n",
                  opts.fail_fast ? " (--strict)" : "", e.what());

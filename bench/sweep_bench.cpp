@@ -61,6 +61,21 @@ struct Run {
   std::vector<std::string> rows;  // one to_row per point, plan order
 };
 
+/// One joined to_row line per result, plan order.
+std::vector<std::string> rows_of(
+    const std::vector<musa::core::SimResult>& results) {
+  std::vector<std::string> rows;
+  for (const auto& res : results) {
+    std::string joined;
+    for (const auto& cell : DseEngine::to_row(res)) {
+      if (!joined.empty()) joined += ',';
+      joined += cell;
+    }
+    rows.push_back(std::move(joined));
+  }
+  return rows;
+}
+
 /// Best-of-N timing: each repetition recomputes the sweep from scratch (a
 /// fresh Pipeline and memo every time), and the fastest repetition is
 /// reported — the standard way to keep scheduler noise out of the ratio.
@@ -88,15 +103,7 @@ Run run_sweep(bool memoize, bool trace = false, bool single_step = false) {
     if (rep > 0 && wall_s >= r.wall_s) continue;
     r.wall_s = wall_s;
     r.report = dse.report();
-    r.rows.clear();
-    for (const auto& res : dse.results()) {
-      std::string joined;
-      for (const auto& cell : DseEngine::to_row(res)) {
-        if (!joined.empty()) joined += ',';
-        joined += cell;
-      }
-      r.rows.push_back(std::move(joined));
-    }
+    r.rows = rows_of(dse.results());
   }
   return r;
 }
@@ -147,8 +154,8 @@ void json_run(std::FILE* f, const char* name, const Run& r) {
 }
 
 /// One elastic controller/worker run (DESIGN.md §7h) over the same
-/// 24-point space: forks `workers` processes, leases them 4-point chunks,
-/// finalizes through the normal engine, and returns the result rows for
+/// 24-point space: one engine sweep whose executor forks `workers`
+/// processes and leases them 4-point chunks; returns the result rows for
 /// the byte-identity check against the in-process runs.
 struct ElasticRun {
   double wall_s = 0.0;
@@ -170,22 +177,14 @@ ElasticRun run_elastic(int workers, const std::string& cache_path) {
   ElasticRun r;
   Pipeline pipeline;
   DseEngine dse(pipeline, cache_path, opts);
-  dse.clear_cache();  // time a cold sweep, not a cache hit
-  const auto t0 = std::chrono::steady_clock::now();
   musa::sweep::ElasticController controller(pipeline, cache_path, opts,
                                             eopts);
-  r.report = controller.run();
-  dse.sweep(/*force=*/false);  // merge worker journals, write the cache
+  const auto t0 = std::chrono::steady_clock::now();
+  // force: time a cold sweep, not a cache hit.
+  dse.sweep(/*force=*/true, controller.executor(&r.report));
   const auto t1 = std::chrono::steady_clock::now();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  for (const auto& res : dse.results()) {
-    std::string joined;
-    for (const auto& cell : DseEngine::to_row(res)) {
-      if (!joined.empty()) joined += ',';
-      joined += cell;
-    }
-    r.rows.push_back(std::move(joined));
-  }
+  r.rows = rows_of(dse.results());
   std::remove(cache_path.c_str());
   std::remove(
       musa::sweep::ElasticController::lease_log_path(cache_path).c_str());

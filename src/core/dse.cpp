@@ -262,7 +262,7 @@ bool DseEngine::load_cache(
   return false;
 }
 
-SweepReport DseEngine::sweep(bool force) {
+SweepReport DseEngine::sweep(bool force, const SweepExecutor& executor) {
   if (force) {
     clear_cache();
     ready_ = false;
@@ -281,8 +281,8 @@ SweepReport DseEngine::sweep(bool force) {
     return rep;
   }
 
-  // Every simulation point is independent: the missing points run as one
-  // job on the point scheduler, whose threads share one thread-safe
+  // Every simulation point is independent: each in-process batch runs as
+  // one job on the point scheduler, whose threads share one thread-safe
   // StageMemo (unless --no-memo), so cross-point-redundant stages are
   // computed once per distinct input.
   std::shared_ptr<StageMemo> memo;
@@ -304,6 +304,8 @@ SweepReport DseEngine::sweep(bool force) {
     const int threads = static_cast<int>(std::min<std::uint64_t>(
         std::max(1, default_thread_count()), todo.size()));
     const auto wall_t0 = std::chrono::steady_clock::now();
+    // Built and joined per batch: no scheduler thread outlives it into a
+    // fork of the lease executor.
     PointScheduler scheduler(threads, pipeline_.options(), memo);
     // A point that cannot quarantine (--strict, or no journal) throws: the
     // job stops dispatching and wait() rethrows the first failure.
@@ -313,11 +315,11 @@ SweepReport DseEngine::sweep(bool force) {
                      journal ? nullptr : &results_[todo[t]]);
           progress.tick();
         }));
-    rep.stages = scheduler.stage_times();
-    rep.workers = threads;
-    rep.wall_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - wall_t0)
-                     .count();
+    rep.stages.merge(scheduler.stage_times());
+    rep.workers = std::max(rep.workers, threads);
+    rep.wall_s += std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - wall_t0)
+                      .count();
     rep.computed = runner.succeeded();
     rep.retries = runner.io_retries();
     if (memo) rep.memo = memo->stats();
@@ -360,7 +362,10 @@ SweepReport DseEngine::sweep(bool force) {
                  static_cast<unsigned long long>(rep.resumed),
                  static_cast<unsigned long long>(rep.total));
 
-  run_points(state.missing, &journal);
+  if (executor)
+    executor(plan, state, [&](const auto& t) { run_points(t, &journal); });
+  else
+    run_points(state.missing, &journal);
 
   // Finalize the moment cache-worthy coverage exists: cache rows are
   // emitted in plan order from the journalled strings, so an interrupted

@@ -5,10 +5,10 @@
 // crash-safe journal (common/journal.hpp) keyed by (app, config-id), so a
 // killed sweep resumes exactly where it stopped instead of restarting all
 // 4320 points, and the final CSV cache is written atomically only once the
-// point set is complete. Sibling journals next to the cache (the elastic
-// workers' `<cache>.worker-N.journal`, src/sweep) merge into the same cache
-// the moment the union covers the plan. Missing points run as one job on a
-// core::PointScheduler (core/scheduler.hpp).
+// point set is complete. DseEngine::sweep alone resumes and finalizes: it
+// resumes once, hands the missing points to an executor (by default one
+// core::PointScheduler job; src/sweep's elastic lease loop is the other),
+// and finalizes once, merging sibling worker journals into the cache.
 //
 // Figures 5–10 all normalise over the same sweep, using the paper's
 // methodology: every simulation is divided by the simulation sharing *all
@@ -77,9 +77,10 @@ struct NormStat {
   int n = 0;
 };
 
-/// How a sweep is executed. Defaults reproduce the paper's full grid in one
-/// process; multi-process runs go through the elastic controller
-/// (src/sweep), whose worker journals merge into the same cache.
+/// What a sweep covers and how each point is contained (defaults: the
+/// paper's full grid). Where points run is DseEngine::sweep's executor
+/// argument: the lease loop lives in musa_sweep, above musa_core, so its
+/// knobs stay in sweep::ElasticOptions.
 struct SweepOptions {
   bool verbose = true;  // progress / repair warnings on stderr
 
@@ -143,10 +144,9 @@ struct SweepOptions {
 };
 
 /// The enumerated sweep plan: app-major over (apps × configs), the same
-/// layout DseEngine::results() uses. Public because the elastic sweep
-/// controller and its workers (src/sweep) must agree with the engine on the
-/// exact point enumeration — both sides build it independently from the
-/// same SweepOptions, and the journal keys line up by construction.
+/// layout DseEngine::results() uses. Public because sweep executors
+/// (src/sweep) and PointRunner index points by it; equal SweepOptions build
+/// an identical plan, so journal keys line up across processes.
 struct SweepPlan {
   std::vector<const apps::AppModel*> app_list;
   std::vector<MachineConfig> configs;
@@ -185,7 +185,7 @@ struct QuarantinePoint {
 struct SweepReport {
   std::uint64_t total = 0;         // points in the full plan
   std::uint64_t resumed = 0;       // points already in cache/journals
-  std::uint64_t computed = 0;      // points simulated successfully this call
+  std::uint64_t computed = 0;      // points this process simulated successfully
   std::uint64_t dropped = 0;       // corrupt journal records discarded
   std::uint64_t invalid = 0;       // loaded rows failing invariant checks
   std::uint64_t quarantined = 0;   // points with a FAIL row after this call
@@ -194,8 +194,8 @@ struct SweepReport {
                                          // static space analyzer
   std::uint64_t analysis_boxes = 0;      // boxes the analyzer classified
   bool finalized = false;          // cache CSV written (plan fully covered)
-  int workers = 0;                 // scheduler threads the compute phase used
-  double wall_s = 0.0;             // wall time of the compute phase
+  int workers = 0;                 // most threads an in-process batch used
+  double wall_s = 0.0;             // wall time of in-process batches
   StageTimes stages;               // per-stage wall time of computed points
   MemoStats memo;                  // shared-memo hit/miss counters
   std::vector<QuarantinePoint> quarantine;  // sorted by key
@@ -215,6 +215,18 @@ struct ResumeState {
   std::uint64_t invalid = 0;      // rows failing the result invariants
 };
 
+/// The engine's in-process runner: computes plan indices on one joined
+/// PointScheduler job, journaling them into the engine journal.
+using PointBatch = std::function<void(const std::vector<std::uint64_t>&)>;
+
+/// Computes a resumed plan's missing points between resume and finalize.
+/// Returns once each key of `state.missing` has a durable journal row (good
+/// or FAIL); a key without one keeps the cache unwritten. Empty: run
+/// `state.missing` on `run_inprocess`.
+using SweepExecutor =
+    std::function<void(const SweepPlan& plan, ResumeState& state,
+                       const PointBatch& run_inprocess)>;
+
 class DseEngine {
  public:
   /// `cache_path`: CSV file for result caching ("" disables caching and
@@ -228,22 +240,14 @@ class DseEngine {
 
   /// Ensures every plan point exists, resuming from the journals and a
   /// (possibly partial) cache: a truncated or under-sampled cache is
-  /// detected, warned about, and repaired by recomputing exactly the
-  /// missing points. With `force`, cache and journals are deleted first.
+  /// detected, warned about, and repaired by `executor` computing exactly
+  /// the missing points. With `force`, cache and journals are deleted first.
   /// Finalizes (atomically writes the cache, removes journals) as soon as
   /// the union of cache + all sibling journals covers the whole plan.
-  SweepReport sweep(bool force = false);
+  SweepReport sweep(bool force = false, const SweepExecutor& executor = {});
 
   /// Deletes the cache file and every journal belonging to it.
   void clear_cache();
-
-  /// Resume state of `plan`: a complete cache fills results() and removes
-  /// stale journals; otherwise the cache's valid rows seed the engine
-  /// journal, sibling journals (elastic workers') merge in, a good row
-  /// beats a FAIL row, and invariant-violating rows are dropped so their
-  /// points compute again. sweep() computes `missing`; the elastic
-  /// controller (src/sweep) leases it.
-  ResumeState resume(const SweepPlan& plan);
 
   /// Report of the most recent sweep() (empty before the first one).
   const SweepReport& report() const { return report_; }
@@ -293,6 +297,13 @@ class DseEngine {
 
  private:
   void ensure_results();
+
+  /// Resume state of `plan`: a complete cache fills results() and removes
+  /// stale journals; otherwise the cache's valid rows seed the engine
+  /// journal, sibling journals (elastic workers') merge in, a good row
+  /// beats a FAIL row, and invariant-violating rows are dropped so their
+  /// points compute again.
+  ResumeState resume(const SweepPlan& plan);
 
   /// Tries to load `cache_path_` as a complete, exactly-covering result
   /// set; on success fills results_ (plan order) and returns true. On any

@@ -15,10 +15,6 @@
 
 namespace musa::core {
 
-namespace {
-
-/// Co-scales a kernel's working sets with the reduced-scale cache factor
-/// (capacity ratios preserved; see pipeline.hpp header comment).
 trace::KernelProfile scale_profile(const trace::KernelProfile& p,
                                    int factor) {
   trace::KernelProfile s = p;
@@ -47,6 +43,8 @@ cachesim::HierarchyConfig scale_caches(const cachesim::HierarchyConfig& c,
       std::max<std::uint64_t>(cachesim::kLineBytes * s.l3.ways, l3);
   return s;
 }
+
+namespace {
 
 /// Functional cache warm-up: touches the hierarchy with the stream's memory
 /// accesses without simulating timing — an order of magnitude cheaper than

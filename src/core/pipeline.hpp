@@ -111,6 +111,16 @@ struct PipelineOptions {
   bool single_step_core = false;
 };
 
+/// Co-scales a kernel's working sets with the reduced-scale cache factor:
+/// each divided by `factor`, floored at 256 bytes.
+trace::KernelProfile scale_profile(const trace::KernelProfile& p, int factor);
+
+/// The reduced-scale hierarchy of the one core detailed mode simulates: L2
+/// and L3 divided by `factor`, the L3 then cut to the core's `l3_share`,
+/// and the L1 divided by factor / 2.
+cachesim::HierarchyConfig scale_caches(const cachesim::HierarchyConfig& c,
+                                       int factor, double l3_share);
+
 /// Fingerprint of every option a memoized stage value depends on (seed,
 /// slice sizes, cache scale, bandwidth efficiency — the network config only
 /// affects the replay stage, which is never memoized). A StageMemo carries

@@ -19,15 +19,15 @@
 //     running median of committed chunk times): revoke and re-lease; the
 //     slow worker keeps running, duplicate rows are idempotent
 //   - a chunk keeps killing holders   -> after poison_limit revocations the
-//     controller computes it in-process, as one job on a core::
-//     PointScheduler built and joined inside that call (no scheduler
-//     thread outlives it into a fork), where worker-only fault sites are
-//     never evaluated
+//     controller computes it on the engine's in-process runner (a point
+//     scheduler joined before any later fork), where worker-only fault
+//     sites are never evaluated
 //   - workers keep dying              -> respawn budget exhausts, the
 //     controller finishes everything in-process
-// Every arrow ends in full key coverage, so the finalize pass (a normal
-// DseEngine::sweep over the merged journals) writes a cache byte-identical
-// to a fault-free single-process run.
+// Every arrow ends in full key coverage. The loop is an executor handed to
+// DseEngine::sweep (musa_core cannot link musa_sweep), so one sweep resumes
+// once and finalizes once, into a cache byte-identical to a fault-free
+// single-process run.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +41,7 @@ namespace musa::sweep {
 
 /// What one elastic lease phase did.
 struct ElasticReport {
+  core::SweepReport sweep;       // the whole sweep's report (run() only)
   int chunks = 0;                // chunks the pending list was carved into
   std::uint64_t points = 0;      // points pending when the phase started
   std::uint64_t resolved = 0;    // keys resolved (good or FAIL) this phase
@@ -66,13 +67,16 @@ class ElasticController {
   ElasticController(core::Pipeline& pipeline, std::string cache_path,
                     core::SweepOptions sweep, ElasticOptions elastic);
 
-  /// Drives the lease phase until every pending plan key has a durable
-  /// journal row, surviving any combination of worker deaths, hangs, and
-  /// stragglers. Does not finalize: the caller follows with a normal
-  /// DseEngine::sweep(), which merges the worker journals, re-runs any
-  /// residue in-process, and writes the cache. Throws SimError{config} on
+  /// One elastic sweep: DseEngine::sweep over the cache with executor(),
+  /// which survives any combination of worker deaths, hangs, and
+  /// stragglers. Finalizes like any sweep. Throws SimError{config} on
   /// unsupported platforms.
   ElasticReport run();
+
+  /// The lease loop as a DseEngine::sweep executor, for a caller that owns
+  /// the engine (run_dse); it records its phase into `report`. The
+  /// controller must outlive the sweep.
+  core::SweepExecutor executor(ElasticReport* report) const;
 
   /// Audit-log sidecar (`<cache>.leases`): every lease event of the last
   /// run(), appended as it happens, in journal format with LEASE records

@@ -12,12 +12,13 @@
 //
 // Worker `spawn` caches under `<cache>.worker-<spawn>`, so its journal is
 // `<cache>.worker-<spawn>.journal`: the controller tails it, and the
-// finalize pass merges it like any sibling journal. A traced worker leaves
-// its events in the trace sidecar `<trace>.worker-<spawn>.events.jsonl`
-// (obs::trace_sidecar_path) when it stops, for the finalize export to
-// merge. Workers never write the cache and never talk to each other; the
-// fsync'd journal rows are their only durable output, which is what makes
-// killing a worker at any instant recoverable.
+// finalize of the same DseEngine::sweep merges it like any sibling
+// journal. A traced worker leaves its events in the trace sidecar
+// `<trace>.worker-<spawn>.events.jsonl` (obs::trace_sidecar_path) when it
+// stops, for the finalize export to merge. Workers never write the cache
+// and never talk to each other; the fsync'd journal rows are their only
+// durable output, which is what makes killing a worker at any instant
+// recoverable.
 #pragma once
 
 #include <string>
@@ -30,7 +31,7 @@ namespace musa::sweep {
 std::string worker_cache_path(const std::string& cache_path, int spawn_id);
 
 /// Journal a worker writes: `<cache>.worker-<spawn>.journal` — matched by
-/// find_journals(), so the finalize pass merges it automatically.
+/// find_journals(), so the engine's finalize merges it automatically.
 std::string worker_journal_path(const std::string& cache_path, int spawn_id);
 
 /// Body of the worker process: serves `fd` under `options` until the

@@ -1,8 +1,9 @@
 // Tests for the elastic sweep subsystem (src/sweep, DESIGN.md §7h): the
 // LeaseTable state machine under a fake clock, the incremental
 // JournalTailer, and the ElasticController's convergence contract — any
-// mix of worker deaths and partial journals must still end with a cache
-// byte-identical to a fault-free in-process sweep.
+// mix of worker deaths and partial journals must still end, in the one
+// DseEngine::sweep that run() makes, with a cache byte-identical to a
+// fault-free in-process sweep.
 //
 // The LeaseTable takes every time-dependent decision through an explicit
 // `now` parameter, so lease expiry, straggler detection, and median
@@ -363,19 +364,17 @@ TEST(ElasticController, MatchesInProcessSweepByteForByte) {
   EXPECT_EQ(report.points, 4u);
   EXPECT_EQ(report.resolved, 4u);
   EXPECT_GE(report.spawned, 1);
-
-  core::DseEngine dse(pipeline, cache, tiny_sweep());
-  const core::SweepReport merged = dse.sweep(false);
-  EXPECT_TRUE(merged.finalized);
-  EXPECT_EQ(merged.computed, 0u) << "workers should have resolved all keys";
+  EXPECT_TRUE(report.sweep.finalized);
+  EXPECT_EQ(report.sweep.computed, 0u)
+      << "workers should have resolved all keys";
   EXPECT_EQ(read_file(cache), want);
 }
 
 TEST(ElasticController, DuplicateRowsFromReLeasingConverge) {
-  // Two workers race one-point leases; then the whole phase reruns on top
-  // of complete journals (a controller restart after losing no state).
-  // Duplicate rows are byte-identical, so the second pass must resolve
-  // instantly and change nothing.
+  // Two workers race one-point leases, so keys can land in two worker
+  // journals; the byte-identical duplicates must merge into the finalized
+  // cache. Then the whole sweep reruns on top of it (a controller restart
+  // after losing no state): it must resolve instantly and change nothing.
   const std::string ref = tmp_path("elastic_dup_ref.csv");
   const std::string cache = tmp_path("elastic_dup.csv");
   const std::string want = reference_cache(ref);
@@ -385,25 +384,27 @@ TEST(ElasticController, DuplicateRowsFromReLeasingConverge) {
   {
     sweep::ElasticController controller(pipeline, cache, tiny_sweep(),
                                         fast_elastic(2));
-    EXPECT_EQ(controller.run().resolved, 4u);
+    const sweep::ElasticReport first = controller.run();
+    EXPECT_EQ(first.resolved, 4u);
+    EXPECT_TRUE(first.sweep.finalized);
   }
+  EXPECT_EQ(read_file(cache), want);
   {
     sweep::ElasticController controller(pipeline, cache, tiny_sweep(),
                                         fast_elastic(2));
     const sweep::ElasticReport again = controller.run();
-    EXPECT_EQ(again.points, 0u);   // journals already cover every key
+    EXPECT_EQ(again.points, 0u);   // the cache already covers every key
     EXPECT_EQ(again.spawned, 0);   // nothing pending: no forks at all
+    EXPECT_TRUE(again.sweep.finalized);
   }
-  core::DseEngine dse(pipeline, cache, tiny_sweep());
-  dse.sweep(false);
   EXPECT_EQ(read_file(cache), want);
 }
 
 TEST(ElasticController, ResumesFromPartialWorkerJournal) {
   // A prior run's worker journal holds 2 of 4 keys (its process died and
   // never came back). The controller must treat those keys as resolved,
-  // lease out only the residue, and the finalize pass must still produce
-  // the byte-identical cache.
+  // lease out only the residue, and its finalize must still produce the
+  // byte-identical cache.
   const std::string ref = tmp_path("elastic_part_ref.csv");
   const std::string cache = tmp_path("elastic_part.csv");
   const std::string want = reference_cache(ref);
@@ -425,10 +426,7 @@ TEST(ElasticController, ResumesFromPartialWorkerJournal) {
   const sweep::ElasticReport report = controller.run();
   EXPECT_EQ(report.points, 2u);  // only the residue was pending
   EXPECT_EQ(report.resolved, 2u);
-
-  core::DseEngine dse(pipeline, cache, opts);
-  const core::SweepReport merged = dse.sweep(false);
-  EXPECT_TRUE(merged.finalized);
+  EXPECT_TRUE(report.sweep.finalized);
   EXPECT_EQ(read_file(cache), want);
 }
 
@@ -451,11 +449,42 @@ TEST(ElasticController, SurvivesKillNineOnEveryLease) {
   EXPECT_EQ(report.resolved, 4u);
   EXPECT_GT(report.deaths, 0);
   EXPECT_GT(report.inprocess_chunks, 0);
-  verify::FaultPlan::clear();  // the finalize pass must run fault-free
-
-  core::DseEngine dse(pipeline, cache, tiny_sweep());
-  dse.sweep(false);
+  // The worker-only fault never reaches the in-process fallback or the
+  // finalize of the same sweep.
+  EXPECT_TRUE(report.sweep.finalized);
   EXPECT_EQ(read_file(cache), want);
+}
+
+TEST(ElasticController, AbandonedKeysGetOneMoreInProcessAttempt) {
+  // Every lease kills its holder, so every chunk falls back in-process,
+  // where each key's first three journal appends are corrupted: the
+  // fallback's three attempts abandon all four keys. The sweep must give
+  // them one more in-process attempt before finalize and converge on the
+  // byte-identical cache in the same run() call.
+  const std::string ref = tmp_path("elastic_abandon_ref.csv");
+  const std::string cache = tmp_path("elastic_abandon.csv");
+  const std::string want = reference_cache(ref);
+
+  clear_artifacts(cache);
+  FaultGuard guard;
+  verify::FaultPlan::install(verify::FaultPlan::parse(
+      "worker.chunk:kill:5:1,journal.append:corrupt:3:1:3"));
+  core::Pipeline pipeline(fast_options());
+  sweep::ElasticOptions eopt = fast_elastic(2);
+  eopt.lease_points = 2;
+  sweep::ElasticController controller(pipeline, cache, tiny_sweep(), eopt);
+  const sweep::ElasticReport report = controller.run();
+  EXPECT_GT(report.inprocess_chunks, 0);
+  EXPECT_TRUE(report.sweep.finalized);
+  EXPECT_EQ(read_file(cache), want);
+
+  const ResultJournal::LoadResult lr = ResultJournal::read(
+      sweep::ElasticController::lease_log_path(cache),
+      core::DseEngine::csv_header());
+  std::size_t abandoned = 0;
+  for (const LeaseRecord& r : lr.leases) abandoned += r.event == "abandoned";
+  EXPECT_EQ(abandoned, 4u);
+  EXPECT_TRUE(reconcile_leases(lr.leases).ok());
 }
 
 TEST(ElasticController, KillsAWorkerWhoseHeartbeatGoesStale) {
@@ -498,10 +527,7 @@ TEST(ElasticController, KillsAWorkerWhoseHeartbeatGoesStale) {
   const sweep::ElasticReport report = controller.run();
   EXPECT_EQ(report.resolved, 4u);
   EXPECT_GE(report.killed, 1);
-  verify::FaultPlan::clear();
-
-  core::DseEngine dse(pipeline, cache, tiny_sweep());
-  EXPECT_TRUE(dse.sweep(false).finalized);
+  EXPECT_TRUE(report.sweep.finalized);
   EXPECT_EQ(read_file(cache), want);
 }
 
@@ -545,10 +571,7 @@ TEST(ElasticController, RevokesAStragglerAndConverges) {
   const sweep::ElasticReport report = controller.run();
   EXPECT_EQ(report.resolved, 4u);
   EXPECT_GE(report.stragglers, 1);
-  verify::FaultPlan::clear();
-
-  core::DseEngine dse(pipeline, cache, tiny_sweep());
-  EXPECT_TRUE(dse.sweep(false).finalized);
+  EXPECT_TRUE(report.sweep.finalized);
   EXPECT_EQ(read_file(cache), want);
 }
 
@@ -575,6 +598,41 @@ TEST(ElasticController, WritesAuditableLeaseLog) {
   }
   EXPECT_EQ(commits, 4u);  // 4 one-point chunks, each committed exactly once
   EXPECT_GE(grants, 4u);
+}
+
+TEST(ElasticController, RetryFailedLeasesOnlyTheQuarantine) {
+  // --retry-failed over an elastic sweep: 2 of 4 keys have good rows, the
+  // other 2 only FAIL rows. The lease loop must hand exactly the 2
+  // quarantined keys to the workers, nothing may compute in-process after
+  // it, and the cache must match the fault-free reference.
+  const std::string ref = tmp_path("elastic_retry_ref.csv");
+  const std::string cache = tmp_path("elastic_retry.csv");
+  const std::string want = reference_cache(ref);
+
+  clear_artifacts(cache);
+  core::SweepOptions opts = tiny_sweep();
+  const core::SweepPlan plan = core::make_sweep_plan(opts);
+  ASSERT_EQ(plan.size(), 4u);
+  core::Pipeline pipeline(fast_options());
+  {
+    ResultJournal journal(cache + ".journal", core::DseEngine::csv_header());
+    core::PointRunner runner(plan, opts);
+    EXPECT_TRUE(runner.run(pipeline, 0, &journal, nullptr));
+    EXPECT_TRUE(runner.run(pipeline, 3, &journal, nullptr));
+    for (const std::uint64_t i : {1u, 2u})
+      journal.append_fail(plan.keys[i], {"model", "kernel", 1, "seeded"});
+  }
+  opts.retry_failed = true;
+  sweep::ElasticController controller(pipeline, cache, opts,
+                                      fast_elastic(2));
+  const sweep::ElasticReport report = controller.run();
+  EXPECT_EQ(report.points, 2u);
+  EXPECT_EQ(report.resolved, 2u);
+  EXPECT_EQ(report.inprocess_chunks, 0);
+  EXPECT_EQ(report.sweep.computed, 0u) << "no in-process recompute";
+  EXPECT_EQ(report.sweep.quarantined, 0u);
+  EXPECT_TRUE(report.sweep.finalized);
+  EXPECT_EQ(read_file(cache), want);
 }
 
 TEST(ElasticController, RejectsEmptyCachePath) {
