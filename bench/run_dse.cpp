@@ -174,12 +174,18 @@ void print_elastic(const musa::sweep::ElasticReport& er) {
                 static_cast<unsigned long long>(er.tail_dropped));
 }
 
-void print_report(const musa::core::SweepReport& rep) {
-  std::printf("sweep report: %llu total, %llu resumed, %llu computed%s\n",
+/// `by_workers` counts the points elastic workers computed: SweepReport
+/// counts only this process's in-process points.
+void print_report(const musa::core::SweepReport& rep,
+                  std::uint64_t by_workers) {
+  const std::string workers =
+      by_workers > 0 ? " (" + std::to_string(by_workers) + " by workers)"
+                     : "";
+  std::printf("sweep report: %llu total, %llu resumed, %llu computed%s%s\n",
               static_cast<unsigned long long>(rep.total),
               static_cast<unsigned long long>(rep.resumed),
-              static_cast<unsigned long long>(rep.computed),
-              rep.finalized ? ", cache finalized" : "");
+              static_cast<unsigned long long>(rep.computed + by_workers),
+              workers.c_str(), rep.finalized ? ", cache finalized" : "");
   if (rep.analysis_boxes > 0)
     std::printf("  static space analysis: plan proved feasible in %llu "
                 "box(es); %llu infeasible grid config(s) skipped, per-point "
@@ -232,6 +238,7 @@ void print_report(const musa::core::SweepReport& rep) {
     line("trace", m.trace_hits, m.trace_misses);
     line("stream", m.stream_hits, m.stream_misses);
     line("warm state", m.warm_hits, m.warm_misses);
+    line("fused slice", m.fused_hits, m.fused_misses);
     line("perfect mem", m.perfect_hits, m.perfect_misses);
   }
 }
@@ -478,12 +485,12 @@ int main(int argc, char** argv) {
                 "will not be checked; lint the cache with dse_lint later\n");
 
   core::SweepReport rep;
+  sweep::ElasticReport lease;
   try {
     elastic.trace_path = trace_out;
     std::optional<sweep::ElasticController> controller;
     if (elastic_run)
       controller.emplace(pipeline, bench::dse_cache_path(), opts, elastic);
-    sweep::ElasticReport lease;
     rep = dse.sweep(force, controller ? controller->executor(&lease)
                                       : core::SweepExecutor{});
     if (controller) print_elastic(lease);
@@ -492,7 +499,7 @@ int main(int argc, char** argv) {
                  opts.fail_fast ? " (--strict)" : "", e.what());
     return 1;
   }
-  print_report(rep);
+  print_report(rep, lease.worker_computed);
   print_quarantine(rep);
   // Export before any early exit: quarantined runs are exactly the ones
   // whose timelines are worth inspecting.

@@ -17,13 +17,29 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   lines_.assign(num_sets_ * config.ways, Line{});
 }
 
+Cache::Cache(const Cache& other)
+    : config_(other.config_),
+      stats_(other.stats_),
+      lines_(other.lines_),
+      num_sets_(other.num_sets_),
+      set_mask_(other.set_mask_),
+      tag_shift_(other.tag_shift_),
+      stamp_(other.stamp_),
+      hint_line_(~0ull),
+      hint_(nullptr) {}
+
+Cache& Cache::operator=(const Cache& other) {
+  if (this != &other) *this = Cache(other);
+  return *this;
+}
+
 bool Cache::probe(std::uint64_t addr) const {
   const std::uint64_t line_addr = addr / kLineBytes;
   std::uint64_t set, tag;
   split(line_addr, set, tag);
   const Line* base = &lines_[set * config_.ways];
   for (int w = 0; w < config_.ways; ++w)
-    if (base[w].valid && base[w].tag == tag) return true;
+    if (base[w].holds(valid_key(tag))) return true;
   return false;
 }
 

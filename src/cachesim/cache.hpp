@@ -46,6 +46,15 @@ class Cache {
  public:
   explicit Cache(const CacheConfig& config);
 
+  /// Copies start without the try_hit hint: it points into the *source's*
+  /// lines_, so a probe of the copy through it would write the source's LRU
+  /// and dirty bits — a data race when the source is a shared memo
+  /// snapshot. Moves keep it (the line storage moves with them).
+  Cache(const Cache& other);
+  Cache& operator=(const Cache& other);
+  Cache(Cache&&) noexcept = default;
+  Cache& operator=(Cache&&) noexcept = default;
+
   /// Looks up `addr`; on miss the line is allocated (possibly evicting a
   /// dirty victim, reported in the outcome so the caller can propagate the
   /// write-back down the hierarchy). `is_write` marks the line dirty.
@@ -78,12 +87,28 @@ class Cache {
   const CacheStats& stats() const { return stats_; }
 
  private:
+  /// 16 bytes: the valid and dirty bits ride in the low bits of the tag
+  /// word (line-address tags are < 2^58, so the shift loses nothing), which
+  /// cuts every array — and every copy of a warm memo snapshot — by a third.
   struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  // global stamp; smaller = older
-    bool valid = false;
-    bool dirty = false;
+    std::uint64_t word = 0;  // tag << kTagShift | dirty | valid; 0 = invalid
+    std::uint64_t lru = 0;   // global stamp; smaller = older
+
+    bool valid() const { return (word & kValid) != 0; }
+    bool dirty() const { return (word & kDirty) != 0; }
+    std::uint64_t tag() const { return word >> kTagShift; }
+    /// True if the line is valid and holds `key` (= valid_key(tag)).
+    bool holds(std::uint64_t key) const { return (word & ~kDirty) == key; }
+    void mark(bool is_write) {
+      word |= static_cast<std::uint64_t>(is_write) * kDirty;
+    }
   };
+  static constexpr std::uint64_t kValid = 1, kDirty = 2;
+  static constexpr int kTagShift = 2;
+  static std::uint64_t valid_key(std::uint64_t tag) {
+    return (tag << kTagShift) | kValid;
+  }
+  static_assert(sizeof(Line) == 16, "cache lines should stay 16 bytes");
 
   /// Set/tag split of a line address. Most arrays have power-of-two set
   /// counts, where the div/mod pair (20+ cycle latency each, on every access
@@ -111,7 +136,8 @@ class Cache {
   // common streaming pattern: consecutive lanes walking a 64-byte line)
   // skip the way scan. A line can only stop being resident through a miss
   // allocation, so access() drops the hint on every miss; lines_ never
-  // reallocates after construction, so the cached pointer stays valid.
+  // reallocates after construction, so the cached pointer stays valid (a
+  // copy drops it, see the copy constructor).
   std::uint64_t hint_line_ = ~0ull;
   Line* hint_ = nullptr;
 };
@@ -124,18 +150,19 @@ inline AccessOutcome Cache::access(std::uint64_t addr, bool is_write) {
   MUSA_DCHECK_MSG((set + 1) * config_.ways <= lines_.size(),
                   "set index out of range");
   Line* base = &lines_[set * config_.ways];
+  const std::uint64_t key = valid_key(tag);
 
   Line* victim = base;
   for (int w = 0; w < config_.ways; ++w) {
     Line& line = base[w];
-    if (line.valid && line.tag == tag) {
+    if (line.holds(key)) {
       line.lru = ++stamp_;
-      line.dirty = line.dirty || is_write;
+      line.mark(is_write);
       return {.hit = true};
     }
-    if (!line.valid) {
+    if (!line.valid()) {
       victim = &line;  // prefer an invalid way
-    } else if (victim->valid && line.lru < victim->lru) {
+    } else if (victim->valid() && line.lru < victim->lru) {
       victim = &line;
     }
   }
@@ -143,14 +170,13 @@ inline AccessOutcome Cache::access(std::uint64_t addr, bool is_write) {
   ++stats_.misses;
   hint_line_ = ~0ull;  // the allocation below may replace the hinted line
   AccessOutcome out;
-  if (victim->valid && victim->dirty) {
+  if (victim->valid() && victim->dirty()) {
     ++stats_.writebacks;
     out.writeback = true;
-    out.victim_addr = (victim->tag * num_sets_ + set) * kLineBytes;
+    out.victim_addr = (victim->tag() * num_sets_ + set) * kLineBytes;
   }
-  victim->tag = tag;
-  victim->valid = true;
-  victim->dirty = is_write;
+  victim->word = key;
+  victim->mark(is_write);
   victim->lru = ++stamp_;
   return out;
 }
@@ -160,7 +186,7 @@ inline bool Cache::try_hit(std::uint64_t addr, bool is_write) {
   if (line_addr == hint_line_) {
     ++stats_.accesses;
     hint_->lru = ++stamp_;
-    hint_->dirty = hint_->dirty || is_write;
+    hint_->mark(is_write);
     return true;
   }
   std::uint64_t set, tag;
@@ -168,12 +194,13 @@ inline bool Cache::try_hit(std::uint64_t addr, bool is_write) {
   MUSA_DCHECK_MSG((set + 1) * config_.ways <= lines_.size(),
                   "set index out of range");
   Line* base = &lines_[set * config_.ways];
+  const std::uint64_t key = valid_key(tag);
   for (int w = 0; w < config_.ways; ++w) {
     Line& line = base[w];
-    if (line.valid && line.tag == tag) {
+    if (line.holds(key)) {
       ++stats_.accesses;
       line.lru = ++stamp_;
-      line.dirty = line.dirty || is_write;
+      line.mark(is_write);
       hint_line_ = line_addr;
       hint_ = &line;
       return true;

@@ -495,19 +495,27 @@ JournalTailer::Batch JournalTailer::poll() {
 }
 
 std::vector<std::string> find_journals(const std::string& artifact_path) {
+  return find_sidecars(artifact_path, ".", ".journal");
+}
+
+std::vector<std::string> find_sidecars(const std::string& artifact_path,
+                                       const std::string& stem,
+                                       const std::string& suffix) {
   namespace fs = std::filesystem;
   const fs::path artifact(artifact_path);
   const fs::path dir =
       artifact.has_parent_path() ? artifact.parent_path() : fs::path(".");
-  const std::string prefix = artifact.filename().string() + ".";
-  const std::string suffix = ".journal";
+  const std::string base = artifact.filename().string();
+  const std::string prefix = base + stem;
 
   std::vector<std::string> out;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file(ec)) continue;
     const std::string name = entry.path().filename().string();
-    if (name.size() < prefix.size() + suffix.size() - 1) continue;
+    if (name.size() < prefix.size() ||
+        name.size() < base.size() + suffix.size())
+      continue;
     if (name.compare(0, prefix.size(), prefix) != 0) continue;
     if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0)
       continue;

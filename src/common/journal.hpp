@@ -226,4 +226,12 @@ class JournalTailer {
 /// Sorted for deterministic merge order.
 std::vector<std::string> find_journals(const std::string& artifact_path);
 
+/// Files next to `artifact_path` whose names start with "<artifact><stem>"
+/// and end with `suffix`, the suffix lying wholly after "<artifact>" (it may
+/// overlap the stem: find_journals is find_sidecars(a, ".", ".journal")).
+/// Sorted.
+std::vector<std::string> find_sidecars(const std::string& artifact_path,
+                                       const std::string& stem,
+                                       const std::string& suffix);
+
 }  // namespace musa

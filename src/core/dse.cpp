@@ -406,8 +406,7 @@ SweepReport DseEngine::sweep(bool force, const SweepExecutor& executor) {
     }
     doc.save(cache_path_);
     journal.discard();
-    for (const auto& path : find_journals(cache_path_))
-      std::remove(path.c_str());
+    remove_sidecars();
     ready_ = true;
     rep.finalized = true;
   } else if (options_.verbose) {
@@ -430,8 +429,7 @@ ResumeState DseEngine::resume(const SweepPlan& plan) {
       load_cache(plan, &salvage, &cache_invalid)) {
     // A crash between cache finalize and journal cleanup can leave stale
     // journals behind; the complete cache supersedes them.
-    for (const auto& path : find_journals(cache_path_))
-      std::remove(path.c_str());
+    remove_sidecars();
     return state;
   }
   state.invalid = cache_invalid;
@@ -510,7 +508,13 @@ void DseEngine::merge_journals(const ResultJournal& journal,
 void DseEngine::clear_cache() {
   if (cache_path_.empty()) return;
   std::remove(cache_path_.c_str());
+  remove_sidecars();
+}
+
+void DseEngine::remove_sidecars() const {
   for (const auto& path : find_journals(cache_path_))
+    std::remove(path.c_str());
+  for (const auto& path : find_sidecars(cache_path_, ".worker-", ".fp"))
     std::remove(path.c_str());
 }
 

@@ -246,7 +246,8 @@ class DseEngine {
   /// the union of cache + all sibling journals covers the whole plan.
   SweepReport sweep(bool force = false, const SweepExecutor& executor = {});
 
-  /// Deletes the cache file and every journal belonging to it.
+  /// Deletes the cache file, every journal belonging to it and the elastic
+  /// workers' fingerprint sidecars.
   void clear_cache();
 
   /// Report of the most recent sweep() (empty before the first one).
@@ -297,6 +298,11 @@ class DseEngine {
 
  private:
   void ensure_results();
+
+  /// Removes what a finished (or cleared) sweep supersedes: every journal
+  /// of the cache, and the "<cache>.worker-N.fp" fingerprint sidecars
+  /// elastic workers write — a SIGKILLed controller cannot remove those.
+  void remove_sidecars() const;
 
   /// Resume state of `plan`: a complete cache fills results() and removes
   /// stale journals; otherwise the cache's valid rows seed the engine

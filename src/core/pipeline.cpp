@@ -9,6 +9,7 @@
 #include "common/units.hpp"
 #include "obs/span.hpp"
 #include "cpusim/core_model.hpp"
+#include "isa/vector_fusion.hpp"
 #include "powersim/power.hpp"
 #include "trace/kernel.hpp"
 #include "verify/faultpoint.hpp"
@@ -42,6 +43,29 @@ cachesim::HierarchyConfig scale_caches(const cachesim::HierarchyConfig& c,
   s.l3.size_bytes =
       std::max<std::uint64_t>(cachesim::kLineBytes * s.l3.ways, l3);
   return s;
+}
+
+namespace {
+/// Seed of every kernel stream a phase generates (warm-up + measured slice,
+/// and the perfect-memory slice).
+std::uint64_t kernel_seed(const PipelineOptions& options) {
+  return options.seed * 7919 + 17;
+}
+}  // namespace
+
+trace::KernelSource measured_slice(const trace::KernelProfile& profile,
+                                   const PipelineOptions& options) {
+  trace::KernelSource source(profile,
+                             options.warm_instrs + options.measure_instrs,
+                             kernel_seed(options));
+  const isa::Instr* block = nullptr;
+  for (std::uint64_t left = options.warm_instrs; left > 0;) {
+    const std::size_t n =
+        source.take_block(&block, static_cast<std::size_t>(left));
+    if (n == 0) break;
+    left -= n;
+  }
+  return source;
 }
 
 namespace {
@@ -259,41 +283,57 @@ Pipeline::DetailedTiming Pipeline::simulate_kernel(
   cpusim::CoreStats stats;
   double perfect_cpi = 0.0;
   if (memo_) {
-    // Memoized path: replay the materialized per-(app, phase) stream, start
-    // the measured run from the memoized post-warm-up cache snapshot, and
-    // reuse the perfect-memory CPI across the dimensions it ignores. Every
-    // reused value is bit-identical to what the branch below recomputes
-    // (stage_memo.hpp explains why), as TestStageMemo proves.
+    // Memoized path: start the measured run from the memoized post-warm-up
+    // cache snapshot, replay the measured slice already fused for this
+    // vector width, and reuse the perfect-memory CPI across the dimensions
+    // it ignores. Every reused value is bit-identical to what the branch
+    // below recomputes (stage_memo.hpp explains why), as TestStageMemo
+    // proves.
     const StageMemo::KernelStreams& streams =
         memo_->streams(app, phase_index, [&] {
+          // Only the warm-up prefix is kept in scalar form: the measured
+          // slice lives in the fused table, per vector width.
           StageMemo::KernelStreams s;
           trace::KernelSource full(
               profile, options_.warm_instrs + options_.measure_instrs,
-              options_.seed * 7919 + 17);
-          for (isa::Instr in; full.next(in);) s.full.push_back(in);
+              kernel_seed(options_));
+          s.warm.reserve(options_.warm_instrs);
+          isa::Instr in;
+          while (s.warm.size() < options_.warm_instrs && full.next(in))
+            s.warm.push_back(in);
           trace::KernelSource perfect(profile, perfect_slice,
-                                      options_.seed * 7919 + 17);
-          for (isa::Instr in; perfect.next(in);) s.perfect.push_back(in);
+                                      kernel_seed(options_));
+          while (perfect.next(in)) s.perfect.push_back(in);
           return s;
         });
-    MUSA_DCHECK_MSG(streams.full.size() >= options_.warm_instrs,
-                    "kernel stream shorter than the warm-up slice");
 
-    const MemoKey wkey = StageMemo::warm_key(app, phase_index, caches);
-    const cachesim::MemHierarchy* snapshot = memo_->find_warm(wkey);
     cachesim::MemHierarchy hierarchy =
-        snapshot ? *snapshot : cachesim::MemHierarchy(caches);
-    if (snapshot == nullptr) {
-      trace::SpanSource warm_source(streams.full);
-      functional_warm(warm_source, hierarchy, options_.warm_instrs);
-      hierarchy.reset_stats();
-      memo_->store_warm(wkey, hierarchy);
-    }
-
+        memo_->warm(app, phase_index, caches, [&] {
+          cachesim::MemHierarchy warmed(caches);
+          trace::SpanSource warm_source(streams.warm);
+          functional_warm(warm_source, warmed, options_.warm_instrs);
+          warmed.reset_stats();
+          return warmed;
+        });
     cpusim::CoreModel core(config.core, freq, hierarchy, dram);
-    // Positioned exactly where functional_warm left the generator stream.
-    trace::SpanSource source(streams.full, options_.warm_instrs);
-    stats = core.run(source, measure_opts);
+    if (options_.single_step_core) {
+      // The single-step reference times the scalar slice itself, generated
+      // as the no-memo branch generates it.
+      trace::KernelSource source = measured_slice(profile, options_);
+      stats = core.run(source, measure_opts);
+    } else {
+      const StageMemo::FusedStream& blocks = memo_->fused(
+          app, phase_index, config.vector_bits, [&] {
+            trace::KernelSource source = measured_slice(profile, options_);
+            isa::VectorFusion fusion(source, config.vector_bits);
+            StageMemo::FusedStream out;
+            for (isa::FusedBlock block; fusion.next_block(block);)
+              out.push_back(block);
+            out.shrink_to_fit();
+            return out;
+          });
+      stats = core.run_fused(blocks, measure_opts);
+    }
 
     // --- Perfect-memory run (memory stall attribution) -------------------
     perfect_cpi = memo_->perfect_cpi(
@@ -311,7 +351,7 @@ Pipeline::DetailedTiming Pipeline::simulate_kernel(
     cachesim::MemHierarchy hierarchy(caches);
     trace::KernelSource source(
         profile, options_.warm_instrs + options_.measure_instrs,
-        options_.seed * 7919 + 17);
+        kernel_seed(options_));
     cpusim::CoreModel core(config.core, freq, hierarchy, dram);
 
     functional_warm(source, hierarchy, options_.warm_instrs);
@@ -325,7 +365,7 @@ Pipeline::DetailedTiming Pipeline::simulate_kernel(
     cachesim::MemHierarchy ph(caches);  // untouched under perfect_memory
     dramsim::DramSystem pd(dramsim::timing_for(config.mem_tech), 1);
     trace::KernelSource psource(profile, perfect_slice,
-                                options_.seed * 7919 + 17);
+                                kernel_seed(options_));
     cpusim::CoreModel pcore(config.core, freq, ph, pd);
     const cpusim::CoreStats pstats = pcore.run(psource, perfect_opts);
     perfect_cpi = perfect_cpi_of(pstats);

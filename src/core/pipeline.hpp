@@ -121,6 +121,14 @@ trace::KernelProfile scale_profile(const trace::KernelProfile& p, int factor);
 cachesim::HierarchyConfig scale_caches(const cachesim::HierarchyConfig& c,
                                        int factor, double l3_share);
 
+/// A phase's kernel stream (`profile` already scaled) positioned where its
+/// measured slice begins: the generator runs through the functional
+/// warm-up prefix — exactly `warm_instrs` instructions, as many as the
+/// warm-up consumes — and drops it. What it yields next is the slice every
+/// detailed run times, and what the memo's fused table holds fused.
+trace::KernelSource measured_slice(const trace::KernelProfile& profile,
+                                   const PipelineOptions& options);
+
 /// Fingerprint of every option a memoized stage value depends on (seed,
 /// slice sizes, cache scale, bandwidth efficiency — the network config only
 /// affects the replay stage, which is never memoized). A StageMemo carries

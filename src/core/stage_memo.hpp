@@ -5,9 +5,13 @@
 //
 //   * region / burst-trace generation   — keyed (app, phase) / (app, ranks);
 //   * the burst pre-pass concurrency    — keyed (app, cores): 3 values/app;
-//   * the materialized kernel stream    — keyed (app, phase): the
+//   * the scalar kernel streams         — keyed (app, phase): the
+//     functional warm-up prefix and the perfect-memory slice. The
 //     KernelSource is deterministic in (profile, budget, seed), none of
 //     which vary across machine configurations;
+//   * the measured slice, already fused — keyed (app, phase, vector width):
+//     the fusion pass is a pure function of (trace, width), so every point
+//     replays stored FusedBlocks instead of re-fusing 256k instructions;
 //   * the post-warm-up cache state      — keyed (app, phase, exact scaled
 //     hierarchy geometry): the functional warm-up touches the hierarchy
 //     with a fixed address stream, so its end state is a pure function of
@@ -22,24 +26,32 @@
 // test_stage_memo locks in and `run_dse --no-memo` exists to bisect.
 //
 // Thread safety: one StageMemo is shared by every sweep worker. Each table
-// has its own shared_mutex (read-mostly: taken shared on the hit path).
-// Misses compute *outside* any lock — results are deterministic, so when
-// two workers race to fill the same key the loser discards an identical
-// value (try_emplace, first wins) — and std::unordered_map never moves
-// node storage, so returned references stay valid while others insert.
+// has its own shared_mutex (read-mostly: taken shared on the hit path) and
+// its own in-flight set and condition variable under that mutex. Fills are
+// single-flight: the first thread to miss a key computes it *outside* the
+// lock, and a thread asking for a key that is being filled waits for that
+// value rather than computing a duplicate: a duplicate costs a whole fill
+// (megabytes of stream or fused blocks) and then is thrown away.
+// std::unordered_map never moves node storage, so returned references stay
+// valid while others insert.
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "apps/apps.hpp"
 #include "cachesim/hierarchy.hpp"
+#include "common/deadline.hpp"
 #include "cpusim/core_config.hpp"
 #include "isa/instr.hpp"
+#include "isa/vector_fusion.hpp"
 
 namespace musa::core {
 
@@ -86,24 +98,26 @@ std::uint64_t core_fingerprint(const cpusim::CoreConfig& c);
 void memo_hit(const char* table);
 void memo_miss(const char* table);
 
-/// Per-table hit/miss counts, snapshot for reporting. A "miss" is a compute;
-/// racing workers may both count a miss for one key (the loser's value is
-/// discarded), so hits + misses >= lookups is the only invariant.
+/// Per-table hit/miss counts, snapshot for reporting. A "miss" is a fill:
+/// fills are single-flight, so a table's misses equal the distinct keys it
+/// was asked for (plus one per fill that threw and was retried), and every
+/// other lookup — including one that waited for a racing fill — is a hit.
 struct MemoStats {
   std::uint64_t region_hits = 0, region_misses = 0;
   std::uint64_t trace_hits = 0, trace_misses = 0;
   std::uint64_t burst_hits = 0, burst_misses = 0;
   std::uint64_t stream_hits = 0, stream_misses = 0;
   std::uint64_t warm_hits = 0, warm_misses = 0;
+  std::uint64_t fused_hits = 0, fused_misses = 0;
   std::uint64_t perfect_hits = 0, perfect_misses = 0;
 
   std::uint64_t total_hits() const {
     return region_hits + trace_hits + burst_hits + stream_hits + warm_hits +
-           perfect_hits;
+           fused_hits + perfect_hits;
   }
   std::uint64_t total_misses() const {
     return region_misses + trace_misses + burst_misses + stream_misses +
-           warm_misses + perfect_misses;
+           warm_misses + fused_misses + perfect_misses;
   }
   static double rate(std::uint64_t hits, std::uint64_t misses) {
     const std::uint64_t n = hits + misses;
@@ -113,14 +127,21 @@ struct MemoStats {
 
 class StageMemo {
  public:
-  /// The kernel streams a (app, phase) pair ever needs: the warm+measure
-  /// stream and the quarter-slice perfect-memory stream. Both are drained
-  /// from KernelSources built with the same arguments the non-memoized
-  /// path uses, so replaying them through SpanSource is bit-identical.
+  /// The scalar streams a (app, phase) pair needs besides its fused
+  /// measured slice: the functional warm-up prefix (exactly `warm_instrs`
+  /// instructions) and the quarter-slice perfect-memory stream. Both are
+  /// drained from KernelSources built with the same arguments the
+  /// non-memoized path uses, so replaying them through SpanSource is
+  /// bit-identical. The measured slice itself is not kept in scalar form:
+  /// the `fused` table holds it already fused per vector width.
   struct KernelStreams {
-    std::vector<isa::Instr> full;
+    std::vector<isa::Instr> warm;
     std::vector<isa::Instr> perfect;
   };
+
+  /// The measured slice as the fusion pass emits it for one vector width:
+  /// the blocks VectorFusion::next_block yields, in order.
+  using FusedStream = std::vector<isa::FusedBlock>;
 
   /// `options_fingerprint` identifies the PipelineOptions every user of
   /// this memo must share (seed, slice sizes, cache scale — see
@@ -133,54 +154,74 @@ class StageMemo {
 
   MemoStats stats() const {
     MemoStats s;
-    s.region_hits = region_hits_.load(std::memory_order_relaxed);
-    s.region_misses = region_misses_.load(std::memory_order_relaxed);
-    s.trace_hits = trace_hits_.load(std::memory_order_relaxed);
-    s.trace_misses = trace_misses_.load(std::memory_order_relaxed);
-    s.burst_hits = burst_hits_.load(std::memory_order_relaxed);
-    s.burst_misses = burst_misses_.load(std::memory_order_relaxed);
-    s.stream_hits = stream_hits_.load(std::memory_order_relaxed);
-    s.stream_misses = stream_misses_.load(std::memory_order_relaxed);
-    s.warm_hits = warm_hits_.load(std::memory_order_relaxed);
-    s.warm_misses = warm_misses_.load(std::memory_order_relaxed);
-    s.perfect_hits = perfect_hits_.load(std::memory_order_relaxed);
-    s.perfect_misses = perfect_misses_.load(std::memory_order_relaxed);
+    regions_.count(s.region_hits, s.region_misses);
+    traces_.count(s.trace_hits, s.trace_misses);
+    burst_.count(s.burst_hits, s.burst_misses);
+    streams_.count(s.stream_hits, s.stream_misses);
+    warm_.count(s.warm_hits, s.warm_misses);
+    fused_.count(s.fused_hits, s.fused_misses);
+    perfect_.count(s.perfect_hits, s.perfect_misses);
     return s;
   }
 
   template <typename Fn>
   const trace::Region& region(const apps::AppModel& app, std::size_t phase,
                               Fn&& compute) {
-    return lookup("region", regions_mu_, regions_,
-                  MemoKey{app_fingerprint(app), phase}, region_hits_,
-                  region_misses_, std::forward<Fn>(compute));
+    return lookup(regions_, MemoKey{app_fingerprint(app), phase},
+                  std::forward<Fn>(compute));
   }
 
   template <typename Fn>
   const trace::AppTrace& trace(const apps::AppModel& app, int ranks,
                                Fn&& compute) {
-    return lookup("trace", traces_mu_, traces_,
+    return lookup(traces_,
                   MemoKey{app_fingerprint(app),
                           static_cast<std::uint64_t>(ranks)},
-                  trace_hits_, trace_misses_, std::forward<Fn>(compute));
+                  std::forward<Fn>(compute));
   }
 
   /// Average concurrency of the burst pre-pass (drives the L3 share).
   template <typename Fn>
   double burst_concurrency(const apps::AppModel& app, int cores,
                            Fn&& compute) {
-    return lookup("burst", burst_mu_, burst_,
+    return lookup(burst_,
                   MemoKey{app_fingerprint(app),
                           static_cast<std::uint64_t>(cores)},
-                  burst_hits_, burst_misses_, std::forward<Fn>(compute));
+                  std::forward<Fn>(compute));
   }
 
   template <typename Fn>
   const KernelStreams& streams(const apps::AppModel& app, std::size_t phase,
                                Fn&& compute) {
-    return lookup("stream", streams_mu_, streams_,
-                  MemoKey{app_fingerprint(app), phase}, stream_hits_,
-                  stream_misses_, std::forward<Fn>(compute));
+    return lookup(streams_, MemoKey{app_fingerprint(app), phase},
+                  std::forward<Fn>(compute));
+  }
+
+  /// Snapshot of the hierarchy after functional warm-up + reset_stats,
+  /// keyed by app, phase and the exact scaled cache geometry (which already
+  /// folds in the active-core L3 share, itself a function of (app, cores)).
+  /// Callers copy it; the copy starts without the source's try_hit hint.
+  template <typename Fn>
+  const cachesim::MemHierarchy& warm(const apps::AppModel& app,
+                                     std::size_t phase,
+                                     const cachesim::HierarchyConfig& caches,
+                                     Fn&& compute) {
+    return lookup(warm_,
+                  MemoKey{app_fingerprint(app),
+                          fnv1a_bytes(&phase, sizeof(phase),
+                                      hierarchy_fingerprint(caches))},
+                  std::forward<Fn>(compute));
+  }
+
+  /// The measured slice fused at `vector_bits` (CoreModel::run_fused input).
+  template <typename Fn>
+  const FusedStream& fused(const apps::AppModel& app, std::size_t phase,
+                           int vector_bits, Fn&& compute) {
+    return lookup(fused_,
+                  MemoKey{app_fingerprint(app),
+                          fnv1a_bytes(&vector_bits, sizeof(vector_bits),
+                                      fnv1a_bytes(&phase, sizeof(phase)))},
+                  std::forward<Fn>(compute));
   }
 
   /// CPI of the perfect-memory run (stall attribution baseline).
@@ -191,85 +232,94 @@ class StageMemo {
     std::uint64_t tag = core_fingerprint(core);
     tag = fnv1a_bytes(&phase, sizeof(phase), tag);
     tag = fnv1a_bytes(&vector_bits, sizeof(vector_bits), tag);
-    return lookup("perfect", perfect_mu_, perfect_,
-                  MemoKey{app_fingerprint(app), tag}, perfect_hits_,
-                  perfect_misses_, std::forward<Fn>(compute));
-  }
-
-  /// Key for the post-warm-up hierarchy snapshot: app, phase and the exact
-  /// scaled cache geometry (which already folds in the active-core L3
-  /// share, itself a function of (app, cores)).
-  static MemoKey warm_key(const apps::AppModel& app, std::size_t phase,
-                          const cachesim::HierarchyConfig& caches) {
-    return {app_fingerprint(app),
-            fnv1a_bytes(&phase, sizeof(phase), hierarchy_fingerprint(caches))};
-  }
-
-  /// Snapshot of the hierarchy after functional warm-up + reset_stats, or
-  /// nullptr (counted as a miss — the caller warms and store_warm()s).
-  /// The pointer stays valid while other threads insert: unordered_map
-  /// never relocates node storage.
-  const cachesim::MemHierarchy* find_warm(const MemoKey& key) {
-    {
-      std::shared_lock lock(warm_mu_);
-      auto it = warm_.find(key);
-      if (it != warm_.end()) {
-        warm_hits_.fetch_add(1, std::memory_order_relaxed);
-        memo_hit("warm");
-        return &it->second;
-      }
-    }
-    warm_misses_.fetch_add(1, std::memory_order_relaxed);
-    memo_miss("warm");
-    return nullptr;
-  }
-
-  void store_warm(const MemoKey& key, const cachesim::MemHierarchy& state) {
-    std::unique_lock lock(warm_mu_);
-    warm_.try_emplace(key, state);  // first wins; identical anyway
+    return lookup(perfect_, MemoKey{app_fingerprint(app), tag},
+                  std::forward<Fn>(compute));
   }
 
  private:
-  template <typename Map, typename Fn>
-  auto& lookup(const char* table, std::shared_mutex& mu, Map& map,
-               const MemoKey& key, std::atomic<std::uint64_t>& hits,
-               std::atomic<std::uint64_t>& misses, Fn&& compute) {
+  /// How long a thread waiting for another's fill sleeps between checks of
+  /// its own point deadline.
+  static constexpr std::chrono::milliseconds kWaitSlice{5};
+
+  /// One memoized stage: values, the keys being filled right now, and the
+  /// condition variable a fill's end is announced on — all under `mu`.
+  template <typename V>
+  struct Table {
+    explicit Table(const char* table_name) : name(table_name) {}
+
+    void count(std::uint64_t& h, std::uint64_t& m) const {
+      h = hits.load(std::memory_order_relaxed);
+      m = misses.load(std::memory_order_relaxed);
+    }
+    const V& hit(const V& value) {
+      hits.fetch_add(1, std::memory_order_relaxed);
+      memo_hit(name);
+      return value;
+    }
+
+    const char* name;
+    std::shared_mutex mu;
+    std::condition_variable_any filled;
+    std::unordered_map<MemoKey, V, MemoKeyHash> values;
+    std::unordered_set<MemoKey, MemoKeyHash> in_flight;
+    std::atomic<std::uint64_t> hits{0}, misses{0};
+  };
+
+  /// Single-flight lookup: a hit takes the shared lock only; the first
+  /// thread to miss a key marks it in flight and fills it *outside* the
+  /// lock (fills re-enter the memo: the burst pre-pass builds regions and
+  /// traces), and every other thread asking for that key waits for the
+  /// value instead of computing a copy. A fill that throws clears its mark
+  /// and wakes the waiters, one of which then retries the fill; a waiter
+  /// keeps honouring its own point deadline between wait slices.
+  /// std::unordered_map never moves node storage, so returned references
+  /// stay valid while other threads insert.
+  template <typename V, typename Fn>
+  static const V& lookup(Table<V>& t, const MemoKey& key, Fn&& compute) {
     {
-      std::shared_lock lock(mu);
-      auto it = map.find(key);
-      if (it != map.end()) {
-        hits.fetch_add(1, std::memory_order_relaxed);
-        memo_hit(table);
-        return it->second;
+      std::shared_lock lock(t.mu);
+      auto it = t.values.find(key);
+      if (it != t.values.end()) return t.hit(it->second);
+    }
+    {
+      std::unique_lock lock(t.mu);
+      for (;;) {
+        auto it = t.values.find(key);
+        if (it != t.values.end()) return t.hit(it->second);
+        if (t.in_flight.insert(key).second) break;  // this thread fills
+        t.filled.wait_for(lock, kWaitSlice);
+        lock.unlock();
+        deadline::check_now();
+        lock.lock();
       }
     }
-    misses.fetch_add(1, std::memory_order_relaxed);
-    memo_miss(table);
-    // Deterministic compute outside the lock: a racing loser discards a
-    // bit-identical value, and callbacks that re-enter the memo (the burst
-    // pre-pass builds regions/traces) cannot deadlock.
-    auto value = compute();
-    std::unique_lock lock(mu);
-    return map.try_emplace(key, std::move(value)).first->second;
+    t.misses.fetch_add(1, std::memory_order_relaxed);
+    memo_miss(t.name);
+    const auto settle = [&t, &key] {
+      t.in_flight.erase(key);
+      t.filled.notify_all();
+    };
+    try {
+      V value = compute();
+      std::unique_lock lock(t.mu);
+      settle();
+      return t.values.try_emplace(key, std::move(value)).first->second;
+    } catch (...) {
+      std::unique_lock lock(t.mu);
+      settle();
+      throw;
+    }
   }
 
   std::uint64_t options_fp_;
 
-  std::shared_mutex regions_mu_, traces_mu_, burst_mu_, streams_mu_,
-      warm_mu_, perfect_mu_;
-  std::unordered_map<MemoKey, trace::Region, MemoKeyHash> regions_;
-  std::unordered_map<MemoKey, trace::AppTrace, MemoKeyHash> traces_;
-  std::unordered_map<MemoKey, double, MemoKeyHash> burst_;
-  std::unordered_map<MemoKey, KernelStreams, MemoKeyHash> streams_;
-  std::unordered_map<MemoKey, cachesim::MemHierarchy, MemoKeyHash> warm_;
-  std::unordered_map<MemoKey, double, MemoKeyHash> perfect_;
-
-  std::atomic<std::uint64_t> region_hits_{0}, region_misses_{0};
-  std::atomic<std::uint64_t> trace_hits_{0}, trace_misses_{0};
-  std::atomic<std::uint64_t> burst_hits_{0}, burst_misses_{0};
-  std::atomic<std::uint64_t> stream_hits_{0}, stream_misses_{0};
-  std::atomic<std::uint64_t> warm_hits_{0}, warm_misses_{0};
-  std::atomic<std::uint64_t> perfect_hits_{0}, perfect_misses_{0};
+  Table<trace::Region> regions_{"region"};
+  Table<trace::AppTrace> traces_{"trace"};
+  Table<double> burst_{"burst"};
+  Table<KernelStreams> streams_{"stream"};
+  Table<cachesim::MemHierarchy> warm_{"warm"};
+  Table<FusedStream> fused_{"fused"};
+  Table<double> perfect_{"perfect"};
 };
 
 }  // namespace musa::core

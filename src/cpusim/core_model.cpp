@@ -21,6 +21,15 @@ constexpr double kBusy[isa::kNumOpClasses] = {1.0, 1.0, 1.0,  1.0,
                                               18.0, 1.0, 1.0, 1.0};
 constexpr double kExecLatency[isa::kNumOpClasses] = {1.0,  3.0, 3.0, 4.0,
                                                      18.0, 1.0, 1.0, 1.0};
+
+/// The block path reads the source ahead of what it retires, so any run
+/// that can stop early (instruction or cycle bound) and expects the source
+/// positioned at the stop point must single-step: node_detailed resumes
+/// cores from a shared source across time quanta.
+bool needs_single_step(const CoreRunOptions& options) {
+  return options.single_step || options.max_scalar_instrs != 0 ||
+         options.max_cycle != 0.0;
+}
 }  // namespace
 
 CoreModel::CoreModel(const CoreConfig& config, Frequency freq,
@@ -191,15 +200,27 @@ void CoreModel::reset_rings(double t0) {
 CoreStats CoreModel::run(trace::InstrSource& source,
                          const CoreRunOptions& options) {
   prefetch_enabled_ = options.enable_prefetcher;
-  // The block path reads the source ahead of what it retires, so any run
-  // that can stop early (instruction or cycle bound) and expects the source
-  // positioned at the stop point must single-step: node_detailed resumes
-  // cores from a shared source across time quanta.
-  const bool single_step = options.single_step ||
-                           options.max_scalar_instrs != 0 ||
-                           options.max_cycle != 0.0;
-  return single_step ? run_single_step(source, options)
-                     : run_blocked(source, options);
+  if (needs_single_step(options)) return run_single_step(source, options);
+  isa::VectorFusion fusion(source, options.vector_bits);
+  isa::FusedBlock block;
+  return run_blocks(
+      [&]() -> const isa::FusedBlock* {
+        return fusion.next_block(block) ? &block : nullptr;
+      },
+      options);
+}
+
+CoreStats CoreModel::run_fused(const std::vector<isa::FusedBlock>& blocks,
+                               const CoreRunOptions& options) {
+  MUSA_CHECK_MSG(!needs_single_step(options),
+                 "pre-fused blocks cannot replay single-step or bounded runs");
+  prefetch_enabled_ = options.enable_prefetcher;
+  auto it = blocks.begin();
+  return run_blocks(
+      [&]() -> const isa::FusedBlock* {
+        return it != blocks.end() ? &*it++ : nullptr;
+      },
+      options);
 }
 
 CoreStats CoreModel::run_single_step(trace::InstrSource& source,
@@ -346,11 +367,10 @@ CoreStats CoreModel::run_single_step(trace::InstrSource& source,
   return stats;
 }
 
-CoreStats CoreModel::run_blocked(trace::InstrSource& source,
-                                 const CoreRunOptions& options) {
+template <typename NextBlock>
+CoreStats CoreModel::run_blocks(NextBlock&& next_block,
+                                const CoreRunOptions& options) {
   CoreStats stats;
-  isa::VectorFusion fusion(source, options.vector_bits);
-
   const double t0 = options.start_cycle;
   // Scoreboard extended with a dead slot so src reads are unconditional:
   // kNoReg (0xff) indexes slot 255, which stays 0.0 forever (writes are
@@ -397,9 +417,9 @@ CoreStats CoreModel::run_blocked(trace::InstrSource& source,
   std::array<std::uint64_t, isa::kNumOpClasses> class_ops{};
   std::array<std::uint64_t, isa::kNumOpClasses> class_lanes{};
 
-  isa::FusedBlock block;
-  while (fusion.next_block(block)) {
-    // One watchdog poll and one fusion call per block, not per op.
+  while (const isa::FusedBlock* next = next_block()) {
+    const isa::FusedBlock& block = *next;
+    // One watchdog poll and one block fetch per block, not per op.
     deadline::poll();
     // Per-class tallies are a pure function of the block's columns: count
     // them in their own tight pass so the timing loop below carries no

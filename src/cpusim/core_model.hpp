@@ -22,8 +22,10 @@
 // The replay hot loop is *batched* (DESIGN.md §7f): the fusion pass emits
 // SoA instruction blocks (isa::FusedBlock) and the scoreboard walks them in
 // a tight loop — one deadline poll and one fusion call per block instead of
-// per operation. A single-step reference path is retained (see
-// CoreRunOptions::single_step); both paths produce bit-identical CoreStats.
+// per operation. The memoized sweep skips the fusion call too: run_fused()
+// replays blocks fused once per (app, phase, vector width). A single-step
+// reference path is retained (see CoreRunOptions::single_step); all paths
+// produce bit-identical CoreStats.
 #pragma once
 
 #include <array>
@@ -188,10 +190,22 @@ class CoreModel {
   /// exactly what they retire; the block path reads ahead).
   CoreStats run(trace::InstrSource& source, const CoreRunOptions& options);
 
+  /// Times blocks that were fused ahead of time — the memoized sweep's
+  /// measured slice (core/stage_memo.hpp), fused once per vector width —
+  /// on the same block loop run() feeds from VectorFusion. The CoreStats
+  /// are bit-identical to run() over the scalar slice the blocks were
+  /// fused from at `options.vector_bits`. The blocks carry their fusion,
+  /// so `options.vector_bits` is not read; options that demand single-step
+  /// semantics (single_step, max_scalar_instrs, max_cycle) throw SimError.
+  CoreStats run_fused(const std::vector<isa::FusedBlock>& blocks,
+                      const CoreRunOptions& options);
+
  private:
-  /// Batched path: walks SoA fused-instruction blocks (isa::FusedBlock).
-  CoreStats run_blocked(trace::InstrSource& source,
-                        const CoreRunOptions& options);
+  /// The batched timing loop: walks SoA fused-instruction blocks
+  /// (isa::FusedBlock) pulled from `next_block()` until it returns null.
+  /// run() feeds it from VectorFusion, run_fused() from stored blocks.
+  template <typename NextBlock>
+  CoreStats run_blocks(NextBlock&& next_block, const CoreRunOptions& options);
   /// Retained single-step reference path (and the only path implementing
   /// max_scalar_instrs / max_cycle early exit).
   CoreStats run_single_step(trace::InstrSource& source,

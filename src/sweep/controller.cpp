@@ -392,16 +392,18 @@ struct LeaseLoop {
     return true;
   }
 
-  void mark_resolved(const std::string& key) {
-    if (!resolved.insert(key).second) return;
+  bool mark_resolved(const std::string& key) {
+    if (!resolved.insert(key).second) return false;
     ++rep.resolved;
     progress.tick();
+    return true;
   }
 
   void ingest(WorkerProc& p) {
     JournalTailer::Batch batch = p.tailer->poll();
     rep.tail_dropped += batch.dropped;
-    for (const auto& [key, row] : batch.entries) mark_resolved(key);
+    for (const auto& [key, row] : batch.entries)
+      if (mark_resolved(key)) ++rep.worker_computed;
     for (const auto& key : batch.fail_keys) mark_resolved(key);
   }
 

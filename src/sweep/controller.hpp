@@ -45,6 +45,7 @@ struct ElasticReport {
   int chunks = 0;                // chunks the pending list was carved into
   std::uint64_t points = 0;      // points pending when the phase started
   std::uint64_t resolved = 0;    // keys resolved (good or FAIL) this phase
+  std::uint64_t worker_computed = 0;  // ... of which good rows from workers
   int spawned = 0;               // worker processes forked, respawns included
   int respawns = 0;              // forks beyond the initial set
   int deaths = 0;                // workers that exited/died on their own

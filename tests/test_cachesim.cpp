@@ -67,6 +67,45 @@ TEST(Cache, FlushClearsContents) {
   EXPECT_EQ(c.stats().accesses, 0u);
 }
 
+TEST(Cache, CopyAfterHintedHitNeverWritesTheSource) {
+  // A try_hit hit leaves a hint pointing into the cache's own lines. A copy
+  // must not inherit it: probing the copy through the source's hint would
+  // mark the *source's* line dirty and most recently used (a data race on a
+  // shared memo snapshot).
+  Cache src({.size_bytes = 2 * 64 * 4, .ways = 2});  // 4 sets, 2 ways
+  const std::uint64_t set_stride = 4 * 64;
+  const std::uint64_t a = 0, b = set_stride, c = 2 * set_stride;
+  src.access(b, false);
+  src.access(a, false);
+  ASSERT_TRUE(src.try_hit(a, false));  // hints line a
+  src.access(b, false);                // hit: b is MRU, a LRU, hint kept
+  const CacheStats before = src.stats();
+
+  Cache copy = src;
+  ASSERT_TRUE(copy.try_hit(a, /*is_write=*/true));
+  EXPECT_EQ(src.stats().accesses, before.accesses);
+
+  // The source still evicts a (LRU, clean) on the next conflict miss...
+  EXPECT_FALSE(src.access(c, false).writeback);
+  EXPECT_FALSE(src.probe(a));
+  EXPECT_TRUE(src.probe(b));
+  // ...while the copy saw its own a become dirty and most recently used.
+  EXPECT_FALSE(copy.access(c, false).writeback);  // evicts b
+  EXPECT_TRUE(copy.probe(a));
+  EXPECT_TRUE(copy.access(3 * set_stride, false).writeback);  // evicts a
+
+  // Copy assignment drops the hint the same way.
+  Cache assigned({.size_bytes = 64, .ways = 1});
+  assigned = src;
+  ASSERT_TRUE(src.try_hit(c, false));
+  assigned = src;
+  const std::uint64_t src_accesses = src.stats().accesses;
+  ASSERT_TRUE(assigned.try_hit(c, true));
+  EXPECT_EQ(src.stats().accesses, src_accesses);
+  EXPECT_FALSE(src.access(a, false).writeback);  // evicts b
+  EXPECT_FALSE(src.access(3 * set_stride, false).writeback);  // evicts c
+}
+
 TEST(Cache, RejectsDegenerateConfigs) {
   EXPECT_THROW(Cache({.size_bytes = 64, .ways = 2}), SimError);
   EXPECT_THROW(Cache({.size_bytes = 4096, .ways = 0}), SimError);

@@ -499,6 +499,10 @@ TEST(DseEngine, ShardedJournalsMergeIntoSingleProcessResult) {
     }
   }
   ASSERT_EQ(find_journals(cache).size(), 1u);
+  // A SIGKILLed elastic controller also leaves its workers' fingerprint
+  // sidecars; a server's own "<cache>.fp" is not a worker's.
+  write_file(cache + ".worker-0.fp", "0\n");
+  write_file(cache + ".fp", "0\n");
 
   DseEngine merged(p, cache, tiny_sweep());
   const SweepReport rep = merged.sweep();
@@ -508,7 +512,12 @@ TEST(DseEngine, ShardedJournalsMergeIntoSingleProcessResult) {
   EXPECT_EQ(merged.results().size(), 4u);
   EXPECT_EQ(read_file(cache), reference);
   EXPECT_TRUE(find_journals(cache).empty());
+  EXPECT_TRUE(find_sidecars(cache, ".worker-", ".fp").empty());
+  EXPECT_TRUE(CsvDoc::file_exists(cache + ".fp"));
+  write_file(cache + ".worker-1.fp", "0\n");
   merged.clear_cache();
+  EXPECT_TRUE(find_sidecars(cache, ".worker-", ".fp").empty());
+  std::remove((cache + ".fp").c_str());
 }
 
 // Point keys carry ranks: two configs that differ only in ranks are two

@@ -3,9 +3,11 @@
 
 #include <vector>
 
+#include "apps/apps.hpp"
 #include "cachesim/hierarchy.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "core/pipeline.hpp"
 #include "cpusim/core_config.hpp"
 #include "cpusim/core_model.hpp"
 #include "dramsim/dram.hpp"
@@ -443,6 +445,63 @@ TEST(CoreModel, PfEvictionsUnchangedAcrossReplayPaths) {
       run_instrs(instrs, core_medium(), rig_reference, {.single_step = true});
   EXPECT_GT(blocked.pf_evictions, 0u);
   EXPECT_EQ(blocked.pf_evictions, reference.pf_evictions);
+}
+
+TEST(CoreModel, RunFusedOverMemoBlocksMatchesScalarSlice) {
+  // The memoized sweep times each point's measured slice from blocks the
+  // stage memo fused once per (app, phase, vector width). Replaying those
+  // blocks must give bit-identical CoreStats to run() over the scalar
+  // slice itself, for every app and for widths from scalar to 8192 bits.
+  core::PipelineOptions options;
+  options.warm_instrs = 40'000;
+  options.measure_instrs = 32'000;
+  for (const apps::AppModel& app : apps::registry()) {
+    auto memo = std::make_shared<core::StageMemo>(
+        core::pipeline_options_fingerprint(options));
+    core::Pipeline pipeline(options, memo);
+    const std::vector<apps::Phase> phases = app.phases();
+    for (const int bits : {64, 128, 256, 512, 1024, 8192}) {
+      core::MachineConfig config;
+      config.vector_bits = bits;
+      pipeline.run(app, config);  // fills the fused table at this width
+      for (std::size_t ph = 0; ph < phases.size(); ++ph) {
+        const trace::KernelProfile profile =
+            core::scale_profile(phases[ph].kernel, options.cache_scale);
+        const core::StageMemo::FusedStream& blocks =
+            memo->fused(app, ph, bits, [] {
+              ADD_FAILURE() << "the pipeline run should have filled this";
+              return core::StageMemo::FusedStream{};
+            });
+        std::vector<isa::Instr> slice;
+        trace::KernelSource source = core::measured_slice(profile, options);
+        for (isa::Instr in; source.next(in);) slice.push_back(in);
+
+        TestRig fused_rig, scalar_rig;
+        CoreModel fused_core(config.core, {2.0}, fused_rig.hierarchy,
+                             fused_rig.dram);
+        CoreModel scalar_core(config.core, {2.0}, scalar_rig.hierarchy,
+                              scalar_rig.dram);
+        trace::SpanSource span(slice);
+        const CoreRunOptions run_opts{.vector_bits = bits};
+        expect_identical_stats(fused_core.run_fused(blocks, run_opts),
+                               scalar_core.run(span, run_opts));
+        if (::testing::Test::HasFailure()) {
+          ADD_FAILURE() << "diverged at " << app.name << " phase " << ph
+                        << ", vector_bits=" << bits;
+          return;
+        }
+      }
+    }
+  }
+}
+
+TEST(CoreModel, RunFusedRejectsSingleStepOptions) {
+  TestRig rig;
+  CoreModel core(core_medium(), {2.0}, rig.hierarchy, rig.dram);
+  const std::vector<isa::FusedBlock> none;
+  EXPECT_THROW(core.run_fused(none, {.single_step = true}), SimError);
+  EXPECT_THROW(core.run_fused(none, {.max_scalar_instrs = 10}), SimError);
+  EXPECT_NO_THROW(core.run_fused(none, {}));
 }
 
 }  // namespace

@@ -367,6 +367,7 @@ TEST(ElasticController, MatchesInProcessSweepByteForByte) {
   EXPECT_TRUE(report.sweep.finalized);
   EXPECT_EQ(report.sweep.computed, 0u)
       << "workers should have resolved all keys";
+  EXPECT_EQ(report.worker_computed, 4u) << "run_dse reports these";
   EXPECT_EQ(read_file(cache), want);
 }
 
